@@ -1,8 +1,8 @@
 //! Quantified ablations of the paper's proposals (E6–E14).
 //!
 //! Each section of the paper makes a qualitative claim; these experiments
-//! turn them into numbers on the simulated substrate. See `EXPERIMENTS.md`
-//! for the paper-vs-measured record.
+//! turn them into numbers on the simulated substrate. `tests/policies.rs`
+//! checks the measured numbers against the paper's claims.
 
 use greener_forecast::backtest::{backtest_all, BacktestReport};
 use greener_forecast::ForecasterKind;

@@ -210,27 +210,62 @@ impl Knob {
 
     /// Apply one axis value to a scenario. `base` is the unmodified
     /// manifest base (for relative knobs like `qs_mult`).
-    pub fn apply(&self, scenario: &mut Scenario, base: &Scenario, value: &AxisValue) {
+    ///
+    /// # Errors
+    /// If the value does not fit the field it sets: a horizon whose hour
+    /// count overflows `usize`, or a node count (`nodes`, `qs_mult`) whose
+    /// cluster GPU total overflows `u32`. Values are never truncated.
+    pub fn apply(
+        &self,
+        scenario: &mut Scenario,
+        base: &Scenario,
+        value: &AxisValue,
+    ) -> Result<(), String> {
         match (self, value) {
             (Knob::Policy, AxisValue::Policy(p)) => scenario.policy = *p,
             (Knob::HorizonDays, AxisValue::Count(d)) => {
-                scenario.horizon_hours = *d as usize * 24;
+                scenario.horizon_hours =
+                    usize::try_from(*d)
+                        .ok()
+                        .and_then(|d| d.checked_mul(24))
+                        .ok_or_else(|| format!("`horizon_days` = {d} overflows the hour count"))?;
             }
             (Knob::ArrivalRate, AxisValue::Real(r)) => {
                 scenario.trace.demand.base_rate_per_hour = *r;
             }
             (Knob::SurgeMult, AxisValue::Real(m)) => scenario.trace.demand.surge_mult = *m,
-            (Knob::Nodes, AxisValue::Count(n)) => scenario.cluster.nodes = *n as u32,
+            (Knob::Nodes, AxisValue::Count(n)) => {
+                scenario.cluster.nodes = self.node_count(*n, scenario)?;
+            }
             (Knob::QsMult, AxisValue::Real(m)) => {
                 // Matches `Eq1Problem::evaluate`'s historical rounding so
                 // the migrated grid search stays bit-identical.
-                scenario.cluster.nodes = (base.cluster.nodes as f64 * m).round().max(1.0) as u32;
+                let nodes = (base.cluster.nodes as f64 * m).round().max(1.0);
+                scenario.cluster.nodes = self.node_count(nodes as u64, scenario)?;
             }
             (Knob::SloWaitHours, AxisValue::Real(h)) => scenario.slo_wait_hours = *h,
             (Knob::Forecast, AxisValue::Forecast(f)) => scenario.forecast = *f,
             (Knob::Deadline, AxisValue::Deadline(d)) => scenario.deadline_policy = *d,
             (knob, value) => unreachable!("axis value {value:?} on knob {knob:?}"),
         }
+        Ok(())
+    }
+
+    /// `nodes` as a node count, if the cluster's GPU total
+    /// (`nodes × gpus_per_node`) still fits `u32`.
+    fn node_count(&self, nodes: u64, scenario: &Scenario) -> Result<u32, String> {
+        let per_node = scenario.cluster.gpus_per_node;
+        u32::try_from(nodes)
+            .ok()
+            .filter(|n| n.checked_mul(per_node).is_some())
+            .ok_or_else(|| {
+                format!(
+                    "`{}` gives {nodes} nodes × {per_node} GPUs/node, more than the {} GPUs \
+                     a cluster can hold",
+                    self.name(),
+                    u32::MAX
+                )
+            })
     }
 }
 
@@ -462,6 +497,9 @@ pub(crate) fn parse_base(raw: &str, line: usize) -> Result<Scenario, ManifestErr
     };
     match preset.split_once(':') {
         Some(("quick", days)) => match days.trim().parse::<usize>() {
+            Ok(d) if d.checked_mul(24).is_none() => {
+                err(line, format!("`quick:{d}` overflows the hour count"))
+            }
             Ok(d) if d > 0 => Ok(Scenario::quick(d, seed)),
             _ => err(
                 line,
@@ -638,19 +676,59 @@ axis horizon_days = 4, 5
         for (knob, raw) in cases {
             let v = knob.parse_value(raw, 1).unwrap_or_else(|e| panic!("{e}"));
             let mut s = base.clone();
-            knob.apply(&mut s, &base, &v);
+            knob.apply(&mut s, &base, &v).unwrap();
             assert!(!v.label().is_empty());
         }
         // Spot-check the applications that compute rather than assign.
         let mut s = base.clone();
-        Knob::QsMult.apply(&mut s, &base, &AxisValue::Real(0.25));
+        Knob::QsMult
+            .apply(&mut s, &base, &AxisValue::Real(0.25))
+            .unwrap();
         assert_eq!(
             s.cluster.nodes,
             (base.cluster.nodes as f64 * 0.25).round() as u32
         );
         let mut s = base.clone();
-        Knob::HorizonDays.apply(&mut s, &base, &AxisValue::Count(6));
+        Knob::HorizonDays
+            .apply(&mut s, &base, &AxisValue::Count(6))
+            .unwrap();
         assert_eq!(s.horizon_hours, 6 * 24);
+    }
+
+    /// Counts that do not fit the scenario field they set are rejected at
+    /// expansion, never truncated: `nodes = 2^32 + 1` must not become a
+    /// 1-node cluster, and a horizon must not wrap its hour count.
+    #[test]
+    fn out_of_range_counts_are_rejected_not_truncated() {
+        // quick:3 has 2 GPUs per node, so 2^31 nodes overflow the u32
+        // GPU total even though the node count itself fits.
+        let cases = [
+            ("nodes = 4294967297", "`nodes` gives 4294967297 nodes"),
+            ("nodes = 2147483648", "`nodes` gives 2147483648 nodes × 2"),
+            ("qs_mult = 1e12", "`qs_mult` gives"),
+            (
+                "horizon_days = 768614336404564651",
+                "`horizon_days` = 768614336404564651 overflows",
+            ),
+        ];
+        for (axis, needle) in cases {
+            let text = format!("name = d\nbase = quick:3\naxis {axis}\n");
+            let e = CampaignManifest::parse(&text)
+                .unwrap()
+                .expand()
+                .unwrap_err();
+            assert_eq!(e.line, 0, "{axis}: {e}");
+            assert!(e.msg.contains(needle), "{axis}: {e}");
+        }
+        // The largest node count whose GPU total fits is still accepted.
+        let plan = CampaignManifest::parse("name = d\nbase = quick:3\naxis nodes = 2147483647\n")
+            .unwrap()
+            .expand()
+            .unwrap();
+        assert_eq!(plan.cells[0].scenario.cluster.total_gpus(), u32::MAX - 1);
+        let e = CampaignManifest::parse("name = d\nbase = quick:768614336404564651\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("overflows the hour count"), "{e}");
     }
 
     #[test]

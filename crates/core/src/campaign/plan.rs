@@ -53,7 +53,9 @@ impl CampaignManifest {
     /// cells would share an id — possible when an axis sweeps values whose
     /// labels round to the same rendering (e.g. `cap:160.2, cap:160.4`
     /// both label `static-cap-160W`) — because downstream lookup
-    /// (equivalence, migrated call sites) is by id.
+    /// (equivalence, migrated call sites) is by id. Also fails if an axis
+    /// value does not fit the scenario field it sets (see
+    /// [`Knob::apply`](crate::campaign::Knob::apply)).
     pub fn expand(&self) -> Result<CampaignPlan, ManifestError> {
         let mut seen_axes = std::collections::HashSet::with_capacity(self.axes.len());
         for axis in &self.axes {
@@ -86,7 +88,9 @@ impl CampaignManifest {
             let mut id = self.name.clone();
             for (axis, &vi) in self.axes.iter().zip(axis_ix) {
                 let value = &axis.values[vi];
-                axis.knob.apply(&mut scenario, &self.base, value);
+                axis.knob
+                    .apply(&mut scenario, &self.base, value)
+                    .map_err(|msg| ManifestError { line: 0, msg })?;
                 id.push('/');
                 id.push_str(axis.knob.name());
                 id.push('=');

@@ -79,13 +79,6 @@
 //!   the year-scale scenarios, and every built-in policy's lone decision
 //!   is provably the reference decision (pinned by golden + property
 //!   tests over the full per-job record stream).
-//! * **Backfill reject memo** — on [`BackfillPath::Cached`] (the default)
-//!   the driver enables the policy-side reject memo
-//!   ([`greener_sched::SchedPolicy::set_reject_cache`]): an all-reject
-//!   backfill scan is memoized against its exact inputs, and consecutive
-//!   dispatches against an unchanged saturated queue resume past every
-//!   proven reject instead of rescanning ([`BackfillPath::Reference`]
-//!   rescans from scratch; both are pinned bit-identical).
 //! * **Memoized hourly cooling** — the tick handler evaluates the cooling
 //!   plant once per hour ([`greener_hpc::CoolingCache`]); COP, water use
 //!   and the saturation flag read that single [`CoolingPoint`] instead of
@@ -129,9 +122,7 @@ use crate::profile::{
     NoProfiler, ProfileCounter, ProfilePhase, ProfileSubPhase, ReplayProfile, ReplayProfiler,
     WallProfiler,
 };
-use crate::scenario::{
-    ApplyPath, BackfillPath, DispatchPath, ForecastMode, Scenario, SchedulerCore, WorldGen,
-};
+use crate::scenario::{ApplyPath, DispatchPath, ForecastMode, Scenario, SchedulerCore, WorldGen};
 
 /// One completed job's accounting record (feeds Eq. 2's per-user `e_i`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -950,8 +941,7 @@ impl SimDriver {
         } else {
             running.resize_with(trace.len(), || None);
         }
-        let mut policy = scenario.policy.build();
-        policy.set_reject_cache(scenario.backfill == BackfillPath::Cached);
+        let policy = scenario.policy.build();
         let mut engine = Engine {
             scenario,
             grid,
@@ -1109,13 +1099,6 @@ impl SimDriver {
             ProfileCounter::BackfillVisits,
             engine.policy.backfill_visits(),
         );
-        let cache = engine.policy.backfill_cache_stats();
-        engine
-            .prof
-            .bump(ProfileCounter::BackfillCacheHits, cache.hits);
-        engine
-            .prof
-            .bump(ProfileCounter::BackfillVisitsSaved, cache.saved_visits);
 
         // Debug stats: a correct driver never schedules into the past.
         // Debug builds panic inside `schedule` at the offending call site;
@@ -1403,31 +1386,21 @@ mod tests {
                 // against the same golden constants — a 2×2 per axis
                 // without the exponential cross product.
                 let knobs = [
-                    (DispatchPath::Fast, ApplyPath::Fast, BackfillPath::Cached),
-                    (
-                        DispatchPath::Reference,
-                        ApplyPath::Fast,
-                        BackfillPath::Cached,
-                    ),
-                    (
-                        DispatchPath::Fast,
-                        ApplyPath::Reference,
-                        BackfillPath::Cached,
-                    ),
-                    (DispatchPath::Fast, ApplyPath::Fast, BackfillPath::Reference),
+                    (DispatchPath::Fast, ApplyPath::Fast),
+                    (DispatchPath::Reference, ApplyPath::Fast),
+                    (DispatchPath::Fast, ApplyPath::Reference),
                 ];
                 for core in [SchedulerCore::Calendar, SchedulerCore::Heap] {
-                    for (dp, ap, bp) in knobs {
+                    for (dp, ap) in knobs {
                         let s = scenario
                             .clone()
                             .with_worldgen(wg)
                             .with_scheduler(core)
                             .with_dispatch(dp)
-                            .with_apply(ap)
-                            .with_backfill(bp);
+                            .with_apply(ap);
                         let cell = format!(
                             "seed {seed}, policy {:?}, core {core:?}, worldgen {wg:?}, \
-                             dispatch {dp:?}, apply {ap:?}, backfill {bp:?}",
+                             dispatch {dp:?}, apply {ap:?}",
                             policies[pi]
                         );
                         let r = SimDriver::run_with_world(&s, &world);
@@ -1570,60 +1543,6 @@ mod tests {
                 &format!("apply path (Reference vs Fast) [{}]", scenario.name),
             );
         }
-    }
-
-    /// The backfill reject memo must be decision-invisible: cached and
-    /// reference replays produce identical record streams across the
-    /// golden matrix *plus* a burst-shaped scenario whose saturated queue
-    /// is exactly where the memo engages.
-    #[test]
-    fn cached_backfill_matches_reference_on_golden_matrix() {
-        use crate::equivalence::fingerprint_with_world;
-        let mut matrix = crate::equivalence::quick_matrix();
-        let mut burst = Scenario::quick(7, 37)
-            .with_policy(PolicyKind::EasyBackfill)
-            .named("burst 7d seed 37");
-        burst.trace.demand.base_rate_per_hour = 10.0;
-        matrix.push(burst);
-        for scenario in matrix {
-            let world = World::build(&scenario);
-            let reference = scenario.clone().with_backfill(BackfillPath::Reference);
-            let cached = scenario.clone().with_backfill(BackfillPath::Cached);
-            fingerprint_with_world(&reference, &world).assert_same(
-                &fingerprint_with_world(&cached, &world),
-                &format!("backfill path (Reference vs Cached) [{}]", scenario.name),
-            );
-        }
-    }
-
-    /// On a saturated replay the reject memo actually engages (hits and
-    /// saved visits are non-zero), reduces the total candidate visits
-    /// versus the reference scan, and the reference mode reports zeroed
-    /// cache counters.
-    #[test]
-    fn reject_cache_engages_on_saturated_replay() {
-        let mut s = Scenario::quick(7, 37).with_policy(PolicyKind::EasyBackfill);
-        s.trace.demand.base_rate_per_hour = 10.0;
-        let world = World::build(&s);
-        let (_, cached) = SimDriver::run_profiled(&s, &world, Observe::aggregates());
-        let (_, reference) = SimDriver::run_profiled(
-            &s.clone().with_backfill(BackfillPath::Reference),
-            &world,
-            Observe::aggregates(),
-        );
-        assert!(cached.counter(ProfileCounter::BackfillCacheHits) > 0);
-        assert!(cached.counter(ProfileCounter::BackfillVisitsSaved) > 0);
-        // Visits count yields, and the exact fit iterator only yields
-        // accepts — which the memo never changes (decisions are pinned
-        // identical by the equivalence axis). The memo's win is the skipped
-        // re-examination work, estimated by BackfillVisitsSaved above.
-        assert_eq!(
-            cached.counter(ProfileCounter::BackfillVisits),
-            reference.counter(ProfileCounter::BackfillVisits),
-            "memoized scans yield the same accepts",
-        );
-        assert_eq!(reference.counter(ProfileCounter::BackfillCacheHits), 0);
-        assert_eq!(reference.counter(ProfileCounter::BackfillVisitsSaved), 0);
     }
 
     /// The full-probe surface and the aggregates-only fast path are the
@@ -2147,53 +2066,6 @@ mod tests {
                     reference.aggregates.carbon_kg.to_bits()
                 );
                 prop_assert_eq!(fast.jobs.unfinished, reference.jobs.unfinished);
-            }
-
-            /// `BackfillPath::Cached` reproduces the reference full-scan
-            /// record stream on deep saturated queues: random arrival
-            /// rates well past the machine's capacity (the
-            /// `dispatch_burst_7d` shape) over every backfill-scanning
-            /// policy family, including the gated/capped wrappers.
-            #[test]
-            fn cached_backfill_matches_reference_decision_stream(
-                seed in 0u64..1_000,
-                policy_idx in 0usize..4,
-                days in 3usize..7,
-                rate_x10 in 20u64..100,
-            ) {
-                let policies = [
-                    PolicyKind::EasyBackfill,
-                    PolicyKind::StaticCap { cap_w: 160.0 },
-                    PolicyKind::TempAware,
-                    PolicyKind::CarbonAware { green_threshold: 0.06 },
-                ];
-                let mut s = Scenario::quick(days, seed).with_policy(policies[policy_idx]);
-                s.trace.demand.base_rate_per_hour = rate_x10 as f64 / 10.0;
-                let world = World::build(&s);
-                let observe = Observe::aggregates().with_job_records();
-                let cached = SimDriver::run_observed(
-                    &s.clone().with_backfill(BackfillPath::Cached),
-                    &world,
-                    observe,
-                );
-                let reference = SimDriver::run_observed(
-                    &s.with_backfill(BackfillPath::Reference),
-                    &world,
-                    observe,
-                );
-                prop_assert_eq!(
-                    cached.job_records.as_ref().unwrap(),
-                    reference.job_records.as_ref().unwrap()
-                );
-                prop_assert_eq!(
-                    cached.aggregates.energy_kwh.to_bits(),
-                    reference.aggregates.energy_kwh.to_bits()
-                );
-                prop_assert_eq!(
-                    cached.aggregates.carbon_kg.to_bits(),
-                    reference.aggregates.carbon_kg.to_bits()
-                );
-                prop_assert_eq!(cached.jobs.unfinished, reference.jobs.unfinished);
             }
         }
     }

@@ -12,10 +12,17 @@
 //!   un-profiled replay nothing.
 //! * [`WallProfiler`] — used by [`SimDriver::run_profiled`]: `Instant`
 //!   marks around each phase, accumulated into a [`ReplayProfile`].
-//!   Reading the clock twice per phase per event costs real time (~10–20 %
-//!   on a year-scale replay), so profiled numbers are for *attribution*
-//!   (which phase dominates), not for end-to-end deltas — compare totals
-//!   with the un-profiled criterion/perfjson lanes instead.
+//!   Reading the clock twice per phase per event costs real time, and how
+//!   much depends on the workload: the clock reads are a fixed cost per
+//!   event, so they dominate where events are cheap and vanish where each
+//!   dispatch does a lot of work. The repository benchmark publishes the
+//!   ratio as `replay.profiler_overhead_ratio` (profiled ÷ unprofiled time
+//!   of the same replays; see `perfbench/README.md`). On a 2-vCPU x86-64
+//!   host it measured 2.17–2.47× on the `paper` workload (year-scale
+//!   replays) and 1.02–1.08× on `demand_sweep` (deep-queue policy
+//!   dispatch). So profiled numbers are for *attribution* (which phase
+//!   dominates), not for end-to-end deltas — compare totals with the
+//!   un-profiled criterion/perfjson lanes instead.
 //!
 //! The phases follow the loop's structure: `SignalBuild` (the hourly
 //! forecast refresh feeding [`SchedSignals`]), `PolicyDispatch` (the
@@ -183,18 +190,11 @@ pub enum ProfileCounter {
     /// Job starts/finishes handled by the `ApplyPath::Fast` SoA slab
     /// (0 under `ApplyPath::Reference`).
     FastApplyEvents,
-    /// Backfill scans resumed from the policy's reject memo (from
-    /// `SchedPolicy::backfill_cache_stats`, read once at the end).
-    BackfillCacheHits,
-    /// Estimated candidate visits skipped thanks to the reject memo (a
-    /// lower bound: each hit is credited with the recording scan's visit
-    /// count; also from `SchedPolicy::backfill_cache_stats`).
-    BackfillVisitsSaved,
 }
 
 impl ProfileCounter {
     /// Every counter, in display order.
-    pub const ALL: [ProfileCounter; 11] = [
+    pub const ALL: [ProfileCounter; 9] = [
         ProfileCounter::Events,
         ProfileCounter::Arrivals,
         ProfileCounter::Completions,
@@ -204,8 +204,6 @@ impl ProfileCounter {
         ProfileCounter::Decisions,
         ProfileCounter::BackfillVisits,
         ProfileCounter::FastApplyEvents,
-        ProfileCounter::BackfillCacheHits,
-        ProfileCounter::BackfillVisitsSaved,
     ];
 
     /// Stable snake_case name (used as the JSON key in `BENCH_engine.json`).
@@ -220,8 +218,6 @@ impl ProfileCounter {
             ProfileCounter::Decisions => "decisions",
             ProfileCounter::BackfillVisits => "backfill_visits",
             ProfileCounter::FastApplyEvents => "fast_apply_events",
-            ProfileCounter::BackfillCacheHits => "backfill_cache_hits",
-            ProfileCounter::BackfillVisitsSaved => "backfill_visits_saved",
         }
     }
 
@@ -236,8 +232,6 @@ impl ProfileCounter {
             ProfileCounter::Decisions => 6,
             ProfileCounter::BackfillVisits => 7,
             ProfileCounter::FastApplyEvents => 8,
-            ProfileCounter::BackfillCacheHits => 9,
-            ProfileCounter::BackfillVisitsSaved => 10,
         }
     }
 }
@@ -400,7 +394,7 @@ impl ReplayProfile {
         format!(
             "total {:.2} ms ({:.0} ns/event over {} events): {} + unattributed {:.2} ms; \
              subs {}; arrivals {} (fast {}), dispatch calls {}, decisions {}, \
-             backfill visits {} (cache hits {}, saved ~{}), fast-apply events {}",
+             backfill visits {}, fast-apply events {}",
             ms(self.total),
             self.ns_per_event(),
             self.counter(ProfileCounter::Events),
@@ -420,8 +414,6 @@ impl ReplayProfile {
             self.counter(ProfileCounter::DispatchCalls),
             self.counter(ProfileCounter::Decisions),
             self.counter(ProfileCounter::BackfillVisits),
-            self.counter(ProfileCounter::BackfillCacheHits),
-            self.counter(ProfileCounter::BackfillVisitsSaved),
             self.counter(ProfileCounter::FastApplyEvents),
         )
     }

@@ -7,7 +7,7 @@
 use greener_world::core::driver::{SimDriver, World};
 use greener_world::core::equivalence::{self, Fingerprint};
 use greener_world::core::probe::Observe;
-use greener_world::core::scenario::{DispatchPath, Scenario};
+use greener_world::core::scenario::{ApplyPath, DispatchPath, Scenario, SchedulerCore, WorldGen};
 use greener_world::hpc::CoolingModel;
 use greener_world::simkit::stats;
 
@@ -64,20 +64,41 @@ fn queue_depth_probe_agrees_with_full_telemetry_on_dispatch_burst() {
     assert_eq!(out.jobs.completed, full.jobs.completed);
 }
 
-/// The dispatch-path axis, exercised through the shared equivalence
-/// harness from outside the crate — on the bursty benchmark scenario
-/// (deep queues, so the fast path must correctly stand aside) *and* the
-/// default quick matrix (empty queues, so it must correctly engage).
+/// Every Fast/Reference engine axis, exercised through the shared
+/// equivalence harness from outside the crate, so the root test run
+/// catches a broken axis. Each runs on the default quick matrix (empty
+/// queues, where the lone-arrival fast path must engage) plus the bursty
+/// benchmark scenario (deep queues, where it must stand aside).
 #[test]
-fn dispatch_axis_equivalent_on_burst_and_quick_matrix() {
+fn engine_axes_equivalent_on_burst_and_quick_matrix() {
+    type Mode = fn(Scenario) -> Scenario;
+    let axes: [(&str, Mode, Mode); 4] = [
+        (
+            "scheduler core (Heap vs Calendar)",
+            |s| s.with_scheduler(SchedulerCore::Heap),
+            |s| s.with_scheduler(SchedulerCore::Calendar),
+        ),
+        (
+            "world-gen (Sequential vs Parallel)",
+            |s| s.with_worldgen(WorldGen::Sequential),
+            |s| s.with_worldgen(WorldGen::Parallel),
+        ),
+        (
+            "dispatch path (Reference vs Fast)",
+            |s| s.with_dispatch(DispatchPath::Reference),
+            |s| s.with_dispatch(DispatchPath::Fast),
+        ),
+        (
+            "apply path (Reference vs Fast)",
+            |s| s.with_apply(ApplyPath::Reference),
+            |s| s.with_apply(ApplyPath::Fast),
+        ),
+    ];
     let mut matrix = equivalence::quick_matrix();
     matrix.push(dispatch_burst_7d(greener_bench::seeds::WORLD));
-    equivalence::assert_equivalent(
-        "dispatch path (integration)",
-        &matrix,
-        |s| s.with_dispatch(DispatchPath::Reference),
-        |s| s.with_dispatch(DispatchPath::Fast),
-    );
+    for (axis, reference, optimized) in axes {
+        equivalence::assert_equivalent(axis, &matrix, reference, optimized);
+    }
 }
 
 /// The two cooling-saturation surfaces — `RunAggregates` (accumulated
