@@ -297,9 +297,21 @@ fn parse_policy(raw: &str, line: usize) -> Result<PolicyKind, ManifestError> {
             cap_w: need_real(arg)?,
         }),
         "temp" => Ok(PolicyKind::TempAware),
-        "carbon" => Ok(PolicyKind::CarbonAware {
-            green_threshold: need_real(arg)?,
-        }),
+        "carbon" => {
+            // A green-share threshold is a fraction: `carbon:6` meant as
+            // 6 % would otherwise defer deferrable work in every hour.
+            let green_threshold = need_real(arg)?;
+            if green_threshold > 1.0 {
+                return err(
+                    line,
+                    format!(
+                        "policy `carbon` needs a green-share threshold in (0, 1], got \
+                         `{green_threshold}` (write 6 % as `carbon:0.06`)"
+                    ),
+                );
+            }
+            Ok(PolicyKind::CarbonAware { green_threshold })
+        }
         "green_queues" => Ok(PolicyKind::GreenQueues {
             green_cap_w: need_real(arg)?,
         }),
@@ -652,6 +664,34 @@ axis horizon_days = 4, 5
             let e = CampaignManifest::parse(text).unwrap_err();
             assert_eq!(e.line, *line, "{text:?}: {e}");
             assert!(e.msg.contains(needle), "{text:?}: {e}");
+        }
+    }
+
+    /// `carbon:<g>` takes a green-share fraction: a percentage such as
+    /// `carbon:6` is rejected, not read as a 600 % threshold that defers
+    /// deferrable work in every dirty hour.
+    #[test]
+    fn carbon_threshold_must_be_a_fraction() {
+        for (raw, needle) in [
+            ("carbon:6", "green-share threshold in (0, 1], got `6`"),
+            ("carbon:1.5", "green-share threshold in (0, 1], got `1.5`"),
+            ("carbon:0", "needs a positive real argument"),
+            ("carbon:-0.1", "needs a positive real argument"),
+            ("carbon:inf", "needs a positive real argument"),
+        ] {
+            let text = format!("name = d\nbase = quick:3\naxis policy = {raw}\n");
+            let e = CampaignManifest::parse(&text).unwrap_err();
+            assert_eq!(e.line, 3, "{raw}: {e}");
+            assert!(e.msg.contains(needle), "{raw}: {e}");
+        }
+        for (raw, threshold) in [("carbon:0.06", 0.06), ("carbon:1", 1.0)] {
+            let v = Knob::Policy.parse_value(raw, 1).unwrap();
+            assert_eq!(
+                v,
+                AxisValue::Policy(PolicyKind::CarbonAware {
+                    green_threshold: threshold
+                })
+            );
         }
     }
 

@@ -16,6 +16,21 @@ use crate::policy::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals
 use crate::waitq::WaitQueue;
 
 /// Carbon-aware gating around a base policy.
+///
+/// The base policy sees the queue minus the jobs [`should_defer`] holds
+/// back. When nothing is deferred, which is every dispatch in a green hour,
+/// the base sees the driver's queue itself and nothing is copied. Only a
+/// dispatch that defers a job builds the filtered copy.
+///
+/// The two views are interchangeable because a copy keeps the surviving
+/// jobs in arrival order, their gang sizes and durations, and so their
+/// (gang size × duration) classes; only the positions are renumbered.
+/// Built-in base policies read positions solely to order jobs relative to
+/// each other (FIFO order, backfill after the blocked head, SJF's final
+/// tiebreak), never as absolute values, so they decide the same on either
+/// view. A custom base policy must keep to that too.
+///
+/// [`should_defer`]: CarbonAwarePolicy::should_defer
 pub struct CarbonAwarePolicy {
     base: Box<dyn SchedPolicy>,
     /// Defer when current green share is below this threshold…
@@ -87,17 +102,28 @@ impl SchedPolicy for CarbonAwarePolicy {
         signals: &SchedSignals<'_>,
         out: &mut Vec<Decision>,
     ) {
-        // Present the base policy with the non-deferred subset, staged in
-        // the reusable `visible` queue (taken out of `self` so the filter
-        // can borrow `self` immutably while pushing).
+        // One pass over the queue, each job evaluated once. Until the
+        // first deferral nothing is copied; on it, the non-deferred prefix
+        // is staged in the reusable `visible` queue (taken out of `self` so
+        // the filter can borrow `self` immutably while pushing) and the
+        // rest of the pass filters into it.
         let mut visible = std::mem::take(&mut self.visible);
-        visible.clear();
-        for q in queue.iter() {
-            if !self.should_defer(q, signals) {
+        let mut copying = false;
+        for (i, q) in queue.iter().enumerate() {
+            if self.should_defer(q, signals) {
+                if !copying {
+                    copying = true;
+                    visible.clear();
+                    for earlier in queue.iter().take(i) {
+                        visible.push(*earlier);
+                    }
+                }
+            } else if copying {
                 visible.push(*q);
             }
         }
-        self.base.dispatch(&visible, cluster, signals, out);
+        let shown = if copying { &visible } else { queue };
+        self.base.dispatch(shown, cluster, signals, out);
         self.visible = visible;
     }
 
@@ -178,6 +204,11 @@ impl SchedPolicy for GreenQueuePolicy {
         ];
         for (class, cap) in tiers {
             for q in queue.iter().filter(|q| q.job.queue == class) {
+                // Every gang needs a GPU: once the cluster is full, no
+                // later job of any tier can start.
+                if free == 0 {
+                    return;
+                }
                 if class == QueueClass::Green && !self.green_may_start(q, signals) {
                     continue;
                 }
@@ -351,5 +382,156 @@ mod tests {
         // Deadline binds first.
         let t2 = expected_green_start(SimTime::ZERO, Some(SimTime::from_hours(2)), &forecast, 0.08);
         assert_eq!(t2, SimTime::from_hours(2));
+    }
+
+    mod props {
+        use super::*;
+        use crate::energy::TempAwarePolicy;
+        use crate::policy::testutil::{cluster_with_free, evolve};
+        use crate::policy::{EasyBackfillPolicy, SjfPolicy};
+        use proptest::prelude::*;
+
+        /// Dispatch time of every property step. Evolving queues submit
+        /// jobs over 0–200 000 s, so some green jobs' slack has expired by
+        /// now and some has not.
+        const NOW: SimTime = SimTime(100_000);
+        /// A greener hour is forecast two hours out.
+        const FORECAST: [f64; 4] = [0.05, 0.09, 0.12, 0.05];
+
+        /// A dirty hour (green share below every threshold, deferrable
+        /// jobs with slack wait) or a clean one (nothing waits). The busy
+        /// GPUs all come free five hours out.
+        fn signals(dirty: bool, completions: &[(SimTime, u32)]) -> SchedSignals<'_> {
+            SchedSignals {
+                now: NOW,
+                green_share: if dirty { 0.04 } else { 0.10 },
+                forecast_green: &FORECAST,
+                running_completions: completions,
+                ..SchedSignals::default()
+            }
+        }
+
+        fn completions(free: u32) -> Vec<(SimTime, u32)> {
+            let busy = cluster().total_gpus() - free;
+            if busy == 0 {
+                Vec::new()
+            } else {
+                vec![(NOW + greener_simkit::time::Duration::from_hours(5), busy)]
+            }
+        }
+
+        /// Every built-in base the gate wraps.
+        fn base(kind: u8) -> Box<dyn SchedPolicy> {
+            match kind {
+                0 => Box::new(FcfsPolicy::default()),
+                1 => Box::new(SjfPolicy::default()),
+                2 => Box::new(EasyBackfillPolicy::default()),
+                _ => Box::new(TempAwarePolicy::new(
+                    Box::new(EasyBackfillPolicy::default()),
+                )),
+            }
+        }
+
+        /// The view the gate showed its base before the no-copy path:
+        /// every non-deferred job, copied into a fresh, compact queue.
+        fn copied_view(
+            gate: &CarbonAwarePolicy,
+            queue: &WaitQueue,
+            signals: &SchedSignals<'_>,
+        ) -> WaitQueue {
+            queue
+                .iter()
+                .filter(|q| !gate.should_defer(q, signals))
+                .copied()
+                .collect()
+        }
+
+        /// Green queues without the early exit: three full scans.
+        fn reference_green_queues(
+            p: &GreenQueuePolicy,
+            queue: &WaitQueue,
+            cluster: &Cluster,
+            signals: &SchedSignals<'_>,
+        ) -> Vec<Decision> {
+            let nominal = cluster.spec().gpu.nominal_power_w;
+            let mut free = cluster.free_gpus();
+            let mut out = Vec::new();
+            for (class, cap) in [
+                (QueueClass::Urgent, nominal),
+                (QueueClass::Standard, nominal),
+                (QueueClass::Green, p.green_cap_w),
+            ] {
+                for q in queue.iter().filter(|q| q.job.queue == class) {
+                    if class == QueueClass::Green && !p.green_may_start(q, signals) {
+                        continue;
+                    }
+                    if q.job.gpus <= free {
+                        free -= q.job.gpus;
+                        out.push(Decision {
+                            job_id: q.job.id,
+                            power_cap_w: cap,
+                        });
+                    }
+                }
+            }
+            out
+        }
+
+        proptest! {
+            /// The gate's no-copy path (the base dispatches on the driver's
+            /// queue itself when nothing is deferred) and its copy-on-first-
+            /// deferral path both decide exactly like the base on a
+            /// freshly copied view, for every built-in base, over evolving
+            /// queues whose tombstones keep positions non-compact, in
+            /// dirty and clean hours, with 0 to 16 GPUs free.
+            #[test]
+            fn carbon_gate_matches_copied_view(
+                ops in prop::collection::vec(((0u8..8, 1u32..17), (0usize..8, 0u64..200_000)), 1..80),
+                steps in prop::collection::vec((0u32..17, 0u8..2), 80),
+                base_kind in 0u8..4,
+            ) {
+                let mut queue = WaitQueue::new();
+                let mut next_id = 0u64;
+                let mut gate = CarbonAwarePolicy::new(base(base_kind));
+                let mut reference = base(base_kind);
+                for (&op, &(free, dirty)) in ops.iter().zip(&steps) {
+                    evolve(&mut queue, &mut next_id, op);
+                    let cl = cluster_with_free(free);
+                    let completions = completions(free);
+                    let sig = signals(dirty == 1, &completions);
+                    let decisions = gate.dispatch_collect(&queue, &cl, &sig);
+                    let view = copied_view(&gate, &queue, &sig);
+                    prop_assert_eq!(&decisions, &reference.dispatch_collect(&view, &cl, &sig));
+                    crate::policy::validate_decisions(&decisions, &queue, &cl).unwrap();
+                    for d in &decisions {
+                        queue.remove(d.job_id);
+                    }
+                }
+            }
+
+            /// Green queues' early exit once the cluster is full decides
+            /// exactly like the three full tier scans, over the same
+            /// evolving queues (urgent, standard and green jobs mixed).
+            #[test]
+            fn green_queues_early_exit_matches_full_scan(
+                ops in prop::collection::vec(((0u8..8, 1u32..17), (0usize..8, 0u64..200_000)), 1..80),
+                steps in prop::collection::vec((0u32..17, 0u8..2), 80),
+            ) {
+                let mut queue = WaitQueue::new();
+                let mut next_id = 0u64;
+                let mut p = GreenQueuePolicy::default();
+                for (&op, &(free, dirty)) in ops.iter().zip(&steps) {
+                    evolve(&mut queue, &mut next_id, op);
+                    let cl = cluster_with_free(free);
+                    let sig = signals(dirty == 1, &[]);
+                    let decisions = p.dispatch_collect(&queue, &cl, &sig);
+                    prop_assert_eq!(&decisions, &reference_green_queues(&p, &queue, &cl, &sig));
+                    crate::policy::validate_decisions(&decisions, &queue, &cl).unwrap();
+                    for d in &decisions {
+                        queue.remove(d.job_id);
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,15 +9,17 @@
 //! The dispatch path is allocation-free in steady state by design:
 //! [`SchedSignals`] *borrows* its forecast and completion data from the
 //! driver (no per-call `Vec` clones), decisions go into a reused out
-//! buffer, and policies keep whatever scratch they need (SJF's sort
-//! permutation, the carbon gate's visible-queue buffer) as reusable
-//! members. Year-scale simulations dispatch hundreds of thousands of
-//! times, so per-call heap traffic dominates everything else.
+//! buffer, and policies keep whatever scratch they need (SJF's
+//! duration-bucket buffer, the carbon gate's visible-queue buffer) as
+//! reusable members. Year-scale simulations dispatch hundreds of thousands
+//! of times, so per-call heap traffic dominates everything else.
 //!
-//! EASY backfill additionally exploits the queue's gang-size index
-//! ([`WaitQueue::backfill_candidates`]) so a dispatch against a deep saturated queue
-//! only visits candidates that actually fit the free GPUs — see
-//! [`BackfillLimit`] for the (documented, opt-in) depth-limited variant.
+//! The queue-deep policies walk the queue's (gang size × duration) index
+//! instead of the whole queue, so a dispatch against a deep saturated
+//! queue costs about what it accepts. EASY backfill merges only the
+//! classes that fit the free GPUs ([`WaitQueue::backfill_candidates`]; see
+//! [`BackfillLimit`] for the opt-in depth-limited variant), and SJF walks
+//! the duration buckets shortest first ([`WaitQueue::shortest_first`]).
 
 use greener_hpc::Cluster;
 use greener_simkit::time::SimTime;
@@ -218,10 +220,16 @@ impl SchedPolicy for FcfsPolicy {
 }
 
 /// Shortest-job-first (by nominal duration), greedy packing.
+///
+/// Jobs are offered shortest first, ties broken by enqueue time and then
+/// arrival order, and each one that fits the GPUs still free starts. The
+/// walk runs over the queue's duration index
+/// ([`WaitQueue::shortest_first`]), so a dispatch costs the jobs it can
+/// still start plus one duration bucket's sort, not a sort of the queue.
 #[derive(Debug, Default, Clone)]
 pub struct SjfPolicy {
-    /// Reusable sort permutation (indices into the queue slice).
-    order: Vec<u32>,
+    /// Reusable `(duration, enqueued, position)` buffer for the walk.
+    scratch: Vec<(u64, SimTime, u32)>,
 }
 
 impl SchedPolicy for SjfPolicy {
@@ -237,31 +245,12 @@ impl SchedPolicy for SjfPolicy {
         out: &mut Vec<Decision>,
     ) {
         let cap = cluster.spec().gpu.nominal_power_w;
-        self.order.clear();
-        self.order.extend(queue.live_positions().map(|(p, _)| p));
-        // Unstable sort to avoid the stable sort's per-call merge-buffer
-        // allocation; the position tiebreak (positions are arrival-ordered
-        // and unique) reproduces stable order exactly, so decisions are
-        // deterministic.
-        self.order.sort_unstable_by(|&a, &b| {
-            let (qa, qb) = (queue.at(a), queue.at(b));
-            qa.job
-                .nominal_duration()
-                .cmp(&qb.job.nominal_duration())
-                .then(qa.enqueued.cmp(&qb.enqueued))
-                .then(a.cmp(&b))
+        queue.shortest_first(cluster.free_gpus(), &mut self.scratch, |q| {
+            out.push(Decision {
+                job_id: q.job.id,
+                power_cap_w: cap,
+            })
         });
-        let mut free = cluster.free_gpus();
-        for &i in &self.order {
-            let q = queue.at(i);
-            if q.job.gpus <= free {
-                free -= q.job.gpus;
-                out.push(Decision {
-                    job_id: q.job.id,
-                    power_cap_w: cap,
-                });
-            }
-        }
     }
 
     // Sorting a one-element queue is the identity: SJF starts the job.
@@ -549,6 +538,53 @@ pub(crate) mod testutil {
     pub fn wq(jobs: impl IntoIterator<Item = QueuedJob>) -> WaitQueue {
         jobs.into_iter().collect()
     }
+
+    /// The 16-GPU test cluster with `free` GPUs left free.
+    pub fn cluster_with_free(free: u32) -> Cluster {
+        let mut c = cluster();
+        let busy = c.total_gpus() - free.min(c.total_gpus());
+        if busy > 0 {
+            c.allocate(JobId(1_000), busy, 250.0, 1.0).unwrap();
+        }
+        c
+    }
+
+    /// Durations (hours) evolving property-test queues draw from. Repeats
+    /// give equal durations, and the spread crosses the duration buckets,
+    /// including the shared bottom (< 32 s) and top (≥ 2²⁴ s) ones.
+    const PROP_HOURS: [f64; 8] = [0.001, 0.25, 0.25, 0.3, 1.0, 1.2, 8.0, 6_000.0];
+
+    /// One step of an evolving property-test queue, drawn as
+    /// `((kind, gpus), (hours, t))`:
+    ///
+    /// * kinds 0–4 push job `next_id` with `gpus` GPUs, duration
+    ///   `PROP_HOURS[hours % 8]` and submit/enqueue time `t` seconds — not
+    ///   monotone in push order. Kinds 0–1 are standard jobs, 2 urgent,
+    ///   3–4 deferrable green jobs with `t % 48` hours of slack;
+    /// * kinds 5–6 remove a job picked by `t` (a no-op if it is gone);
+    /// * any other kind leaves the queue as it is.
+    pub fn evolve(
+        queue: &mut WaitQueue,
+        next_id: &mut u64,
+        ((kind, gpus), (hours, t)): ((u8, u32), (usize, u64)),
+    ) {
+        match kind {
+            0..=4 => {
+                let mut q = qjob_at(*next_id, gpus, PROP_HOURS[hours % 8], SimTime(t));
+                match kind {
+                    2 => q.job.queue = QueueClass::Urgent,
+                    3 | 4 => q = deferrable(q, t % 48),
+                    _ => {}
+                }
+                queue.push(q);
+                *next_id += 1;
+            }
+            5 | 6 if *next_id > 0 => {
+                queue.remove(JobId(t % *next_id));
+            }
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]
@@ -833,7 +869,61 @@ mod tests {
             out
         }
 
+        /// The sort-everything SJF that the duration-bucket walk replaced,
+        /// kept as the semantics reference: sort every live job by
+        /// (nominal duration, enqueued, position), then pack greedily.
+        fn reference_sjf(queue: &WaitQueue, cluster: &Cluster) -> Vec<Decision> {
+            let cap = cluster.spec().gpu.nominal_power_w;
+            let mut order: Vec<(u32, &QueuedJob)> = queue.live_positions().collect();
+            order.sort_unstable_by(|&(a, qa), &(b, qb)| {
+                qa.job
+                    .nominal_duration()
+                    .cmp(&qb.job.nominal_duration())
+                    .then(qa.enqueued.cmp(&qb.enqueued))
+                    .then(a.cmp(&b))
+            });
+            let mut out = Vec::new();
+            let mut free = cluster.free_gpus();
+            for (_, q) in order {
+                if q.job.gpus <= free {
+                    free -= q.job.gpus;
+                    out.push(Decision {
+                        job_id: q.job.id,
+                        power_cap_w: cap,
+                    });
+                }
+            }
+            out
+        }
+
         proptest! {
+            /// SJF's duration-bucket walk is decision-for-decision identical
+            /// to the sort-everything reference over evolving queues:
+            /// pushes and removals (tombstones, so positions are not
+            /// compact), equal durations, enqueue times out of push order,
+            /// and anywhere from 0 to all 16 GPUs free. Accepted jobs leave
+            /// the queue, like the driver applies them.
+            #[test]
+            fn sjf_walk_matches_reference_sort(
+                ops in prop::collection::vec(((0u8..8, 1u32..17), (0usize..8, 0u64..200_000)), 1..80),
+                frees in prop::collection::vec(0u32..17, 80),
+            ) {
+                let mut queue = WaitQueue::new();
+                let mut next_id = 0u64;
+                let mut sjf = SjfPolicy::default();
+                for (&op, &free) in ops.iter().zip(&frees) {
+                    evolve(&mut queue, &mut next_id, op);
+                    let cl = cluster_with_free(free);
+                    let decisions =
+                        sjf.dispatch_collect(&queue, &cl, &SchedSignals::default());
+                    prop_assert_eq!(&decisions, &reference_sjf(&queue, &cl));
+                    validate_decisions(&decisions, &queue, &cl).unwrap();
+                    for d in &decisions {
+                        queue.remove(d.job_id);
+                    }
+                }
+            }
+
             /// The fit-indexed exhaustive backfill is decision-for-decision
             /// identical to the classic full-queue scan, for arbitrary
             /// queues (sizes *and* durations spanning the index's bucket

@@ -40,7 +40,27 @@
 //! to the accepts alone once the boundary class was filtered member-wise
 //! on the saturated 90-day benchmark).
 //!
-//! Structure:
+//! # Shortest-first walk
+//!
+//! SJF asks a different question of the same index: *which jobs, shortest
+//! first, fit the free GPUs?* [`WaitQueue::shortest_first`] answers it
+//! without sorting the queue. The duration buckets cover disjoint,
+//! ascending ranges, so walking them in order is walking the queue in
+//! duration order; only one bucket's members are ever sorted, by the exact
+//! `(duration, enqueued, position)` key the class lists and slots already
+//! hold. Gang classes bigger than the GPUs free at the start of a bucket
+//! are never gathered (a full sort would reject them too, since `free`
+//! only shrinks), and the walk stops as soon as no GPU is free. Decisions
+//! are the sort-everything SJF's, job for job; a property test keeps that
+//! implementation as the oracle, and the deep-queue golden test pins whole
+//! runs.
+//!
+//! On the perfbench `demand_sweep` campaign (traced, seed 7, 2-vCPU
+//! x86-64 Xeon), SJF's summed dispatch time fell from 0.94–1.28 s to
+//! 0.008–0.009 s, and the campaign's untraced wall time from ~2.2 s to
+//! ~0.33 s, with an identical output digest.
+//!
+//! # Structure
 //!
 //! * `slots` — arrival-ordered entries; a removed entry leaves a tombstone
 //!   until the front of the queue compacts past it. Positions are therefore
@@ -53,6 +73,7 @@
 //!   a dispatch decision.
 
 use greener_simkit::fastmap::FastMap;
+use greener_simkit::time::SimTime;
 use greener_workload::JobId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -116,7 +137,7 @@ pub struct WaitQueue {
     classes: Vec<Vec<(u32, u64)>>,
     /// Class indices holding entries since the last `clear` (so `clear`
     /// touches only used classes, not the whole sparse table — the
-    /// carbon-gate scratch queue clears once per dispatch).
+    /// carbon-gate scratch queue clears on every dispatch that defers).
     touched: Vec<u32>,
     /// Membership flags for `touched`, so repeated empty→non-empty
     /// transitions of a class (remove-then-push churn on long-lived
@@ -160,6 +181,9 @@ impl WaitQueue {
 
     /// Append a job at the back of the queue.
     pub fn push(&mut self, q: QueuedJob) {
+        // Gang sizes start at 1: the fit index has no size-0 row, and the
+        // walks stop once no GPU is free.
+        debug_assert!(q.job.gpus >= 1, "job {:?} has an empty gang", q.job.id);
         let pos = self.slots.len() as u32;
         let class = Self::class_of(&q) as usize;
         if class >= self.classes.len() {
@@ -175,17 +199,6 @@ impl WaitQueue {
         self.pos_of.insert(q.job.id, pos);
         self.slots.push(Some(q));
         self.live += 1;
-    }
-
-    /// The live entry at a position previously yielded by
-    /// [`WaitQueue::live_positions`].
-    ///
-    /// # Panics
-    /// If the position was consumed since it was yielded.
-    pub fn at(&self, pos: u32) -> &QueuedJob {
-        self.slots[pos as usize]
-            .as_ref()
-            .expect("position refers to a live entry")
     }
 
     /// Look up a waiting job by id.
@@ -291,8 +304,64 @@ impl WaitQueue {
         self.fit_iter(after, free, d_max, spare, false)
     }
 
+    /// Greedy shortest-job-first packing over the fit index: hand `accept`
+    /// every live job that fits the GPUs still free, taking jobs in
+    /// ascending `(nominal duration, enqueued, position)` order; `free`
+    /// shrinks by each accepted gang. The result equals sorting the whole
+    /// queue, at the cost of one duration bucket's sort — see the module
+    /// docs' shortest-first walk. `scratch` is a reusable buffer; its
+    /// contents on entry are ignored.
+    pub fn shortest_first(
+        &self,
+        mut free: u32,
+        scratch: &mut Vec<(u64, SimTime, u32)>,
+        mut accept: impl FnMut(&QueuedJob),
+    ) {
+        if free == 0 {
+            return;
+        }
+        let max_size = self.max_size();
+        for bucket in 0..NB {
+            scratch.clear();
+            for size in 1..=max_size.min(free) {
+                if let Some(list) = self.classes.get((size * NB + bucket) as usize) {
+                    scratch.extend(
+                        list.iter()
+                            .map(|&(pos, d)| (d, self.live(pos).enqueued, pos)),
+                    );
+                }
+            }
+            // Positions are unique, so the unstable sort is deterministic.
+            scratch.sort_unstable();
+            for &(_, _, pos) in scratch.iter() {
+                let q = self.live(pos);
+                if q.job.gpus <= free {
+                    free -= q.job.gpus;
+                    accept(q);
+                    if free == 0 {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The live entry at a position taken from a class list.
+    #[inline]
+    fn live(&self, pos: u32) -> &QueuedJob {
+        self.slots[pos as usize]
+            .as_ref()
+            .expect("fit index holds live positions")
+    }
+
+    /// Largest gang size with a class-table row.
+    #[inline]
+    fn max_size(&self) -> u32 {
+        (self.classes.len() as u32).div_ceil(NB).saturating_sub(1)
+    }
+
     fn fit_iter(&self, after: u32, free: u32, d_max: u64, spare: u32, exact: bool) -> FitIter<'_> {
-        let max_size = (self.classes.len() as u32).div_ceil(NB).saturating_sub(1);
+        let max_size = self.max_size();
         let mut heap = BinaryHeap::with_capacity(32);
         for size in 1..=max_size.min(free) {
             for bucket in 0..NB {
@@ -397,11 +466,7 @@ impl<'a> FitIter<'a> {
                 self.heap
                     .push(Reverse((list[cur + 1].0, class, cur as u32 + 1)));
             }
-            return Some(
-                self.q.slots[pos as usize]
-                    .as_ref()
-                    .expect("fit index holds live positions"),
-            );
+            return Some(self.q.live(pos));
         }
         None
     }
