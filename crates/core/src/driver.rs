@@ -29,11 +29,21 @@
 //! replay half stays single-threaded and lean: the event loop is
 //! allocation-free in steady state and algorithmically incremental:
 //!
-//! * **Pluggable event-scheduler core** — the loop is generic over
-//!   [`EventScheduler`]; [`SchedulerCore`] on the scenario selects the
-//!   calendar/bucket queue (O(1) pop for the hourly-tick-dominated stream,
-//!   the default) or the reference binary heap. Both pop identical event
-//!   sequences, so the choice never changes results.
+//! * **Replay event stream, nothing pre-loaded** — the loop pops a
+//!   [`ReplayStream`]: arrivals come off a cursor over the trace (sorted
+//!   by submit time with dense ids, which [`SimDriver`] checks once per
+//!   replay in every build), hourly ticks off a counter, and only job
+//!   completions go through a priority queue, which therefore holds at
+//!   most one entry per running job. Ties resolve arrival → tick →
+//!   completion, exactly the `(time, insertion seq)` order of the old
+//!   queue pre-loaded with every arrival and tick (a `greener-simkit`
+//!   property test pins the two streams equal).
+//! * **Pluggable event-scheduler core** — the completion queue is generic
+//!   over [`EventScheduler`]; [`SchedulerCore`] on the scenario selects the
+//!   calendar/bucket queue (the default) or the reference binary heap.
+//!   Both pop identical event sequences, so the choice never changes
+//!   results (and on the completions-only stream it no longer changes
+//!   the speed either; see [`SchedulerCore`]).
 //! * **Borrowed scheduler signals** — [`SchedSignals`] borrows the forecast
 //!   and completion slices from engine-owned buffers; building the
 //!   per-dispatch snapshot costs zero heap traffic (it used to `to_vec()`
@@ -58,9 +68,11 @@
 //!   whose gang fits the free GPUs (instead of scanning thousands of
 //!   non-fitting jobs per dispatch on saturated scenarios), and applying a
 //!   decision is an O(1) removal by job id.
-//! * **Incremental cluster power** — `Cluster::it_power()` is O(1),
-//!   maintained on allocate/release instead of re-summed over every
-//!   running allocation at every event.
+//! * **Incremental cluster power and a bitset node index** —
+//!   `Cluster::it_power()` is O(1), maintained on allocate/release instead
+//!   of re-summed over every running allocation at every event; gang
+//!   packing walks one node bitset per free level, and allocate/release
+//!   move each touched node between levels with two bit flips.
 //! * **Reusable forecast buffers** — the hourly forecast refresh writes
 //!   into one buffer via [`Forecaster::forecast_into`], and `Model` mode
 //!   keeps a single forecaster instance alive across the run.
@@ -109,6 +121,7 @@ use greener_sched::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals
 use greener_simkit::calendar::Calendar;
 use greener_simkit::calq::CalendarQueue;
 use greener_simkit::des::{EventQueue, EventScheduler};
+use greener_simkit::stream::{Next, ReplayStream};
 use greener_simkit::time::{SimTime, HOUR};
 use greener_simkit::units::{Energy, Fahrenheit};
 use greener_workload::{Job, JobId, JobKind, TraceGenerator, UserId};
@@ -203,13 +216,6 @@ pub struct RunResult {
     pub battery_cycles: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    Arrival(u32),
-    Completion(JobId),
-    Tick,
-}
-
 struct Running {
     finish: SimTime,
     record: JobRecord,
@@ -242,14 +248,16 @@ const FORECAST_PERIOD: usize = 24;
 /// Mutable event-loop state. Every buffer in here persists across events;
 /// after warm-up the loop performs no heap allocation beyond what the
 /// attached probes retain (see the module docs for the architecture).
-struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> {
+struct Engine<'s, Q: EventScheduler<JobId>, O: RunProbes, P: ReplayProfiler> {
     scenario: &'s Scenario,
     grid: &'s GridPath,
     weather: &'s WeatherPath,
     hours: usize,
     policy: Box<dyn SchedPolicy>,
     cluster: Cluster,
-    queue: Q,
+    /// Arrivals (a cursor over the trace), hourly ticks (a counter) and
+    /// completions (the scheduler core), merged in time order.
+    events: ReplayStream<'s, Job, JobId, Q>,
     /// Fit-indexed waiting queue shared with the policies.
     waiting: WaitQueue,
     /// Running jobs under `ApplyPath::Reference`: the classic dense
@@ -302,7 +310,7 @@ struct Engine<'s, Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> {
     hour_cursor: usize,
 }
 
-impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O, P> {
+impl<Q: EventScheduler<JobId>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O, P> {
     /// Refresh `forecast_green` for the top of `hour_cursor`.
     fn refresh_forecast(&mut self) {
         let m = self.prof.mark();
@@ -467,7 +475,7 @@ impl<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
         let energy = Energy(gpu_power * job.gpus as f64 * duration.secs_f64());
         self.prof.record_sub(ProfileSubPhase::ApplyAlloc, m);
         let m = self.prof.mark();
-        self.queue.schedule(finish, Event::Completion(job.id));
+        self.events.schedule(finish, job.id);
         self.prof.record_sub(ProfileSubPhase::ApplySchedule, m);
         // Keep the completion profile sorted: binary-search the insertion
         // point (ties insert after equals, preserving soonest-first order).
@@ -706,14 +714,15 @@ impl SimDriver {
 
     /// Replay a pre-built world through the scenario's policy. The world
     /// must have been built for this scenario (same seed, horizon and
-    /// cluster); benchmarks use this to time replay separately from world
-    /// generation, and experiments can share one world across paired
-    /// policy variants.
+    /// cluster), and its trace sorted by submit time with dense ids; every
+    /// replay entry point checks this and panics otherwise. Benchmarks use
+    /// this to time replay separately from world generation, and
+    /// experiments can share one world across paired policy variants.
     pub fn run_with_world(scenario: &Scenario, world: &World) -> RunResult {
         Self::check_world(scenario, world);
         match scenario.scheduler {
-            SchedulerCore::Calendar => Self::full::<CalendarQueue<Event>>(scenario, world),
-            SchedulerCore::Heap => Self::full::<EventQueue<Event>>(scenario, world),
+            SchedulerCore::Calendar => Self::full::<CalendarQueue<JobId>>(scenario, world),
+            SchedulerCore::Heap => Self::full::<EventQueue<JobId>>(scenario, world),
         }
     }
 
@@ -731,10 +740,10 @@ impl SimDriver {
         Self::check_world(scenario, world);
         match scenario.scheduler {
             SchedulerCore::Calendar => {
-                Self::observed::<CalendarQueue<Event>, _>(scenario, world, observe, NoProfiler).0
+                Self::observed::<CalendarQueue<JobId>, _>(scenario, world, observe, NoProfiler).0
             }
             SchedulerCore::Heap => {
-                Self::observed::<EventQueue<Event>, _>(scenario, world, observe, NoProfiler).0
+                Self::observed::<EventQueue<JobId>, _>(scenario, world, observe, NoProfiler).0
             }
         }
     }
@@ -758,13 +767,13 @@ impl SimDriver {
     ) -> (RunOutput, ReplayProfile) {
         Self::check_world(scenario, world);
         let (out, prof) = match scenario.scheduler {
-            SchedulerCore::Calendar => Self::observed::<CalendarQueue<Event>, _>(
+            SchedulerCore::Calendar => Self::observed::<CalendarQueue<JobId>, _>(
                 scenario,
                 world,
                 observe,
                 WallProfiler::new(),
             ),
-            SchedulerCore::Heap => Self::observed::<EventQueue<Event>, _>(
+            SchedulerCore::Heap => Self::observed::<EventQueue<JobId>, _>(
                 scenario,
                 world,
                 observe,
@@ -774,28 +783,54 @@ impl SimDriver {
         (out, prof.finish())
     }
 
-    /// Debug-check that `world` was generated for `scenario`.
+    /// Check that `world` was generated for `scenario` and that its trace
+    /// is replayable: sorted by submit time (the event stream reads
+    /// arrivals off the trace in order) with dense ids (the running-job
+    /// slab is indexed by id). One O(n) pass per replay, in every build.
+    ///
+    /// # Panics
+    ///
+    /// On the first violated precondition, naming it.
     fn check_world(scenario: &Scenario, world: &World) {
-        debug_assert_eq!(
-            world.seed, scenario.seed,
-            "world was built from a different seed than the scenario replays"
+        assert!(
+            world.seed == scenario.seed,
+            "world was built from seed {} but the scenario replays seed {}",
+            world.seed,
+            scenario.seed
         );
-        debug_assert_eq!(
+        assert!(
+            world.weather.hours() == scenario.horizon_hours,
+            "world horizon is {} h but the scenario replays {} h",
             world.weather.hours(),
-            scenario.horizon_hours,
-            "world horizon does not match the scenario"
+            scenario.horizon_hours
         );
-        debug_assert_eq!(
+        assert!(
+            world.gpu_cap == scenario.cluster.total_gpus(),
+            "world trace was gang-capped at {} GPUs but the scenario's cluster has {}",
             world.gpu_cap,
-            scenario.cluster.total_gpus(),
-            "world trace was gang-capped for a different cluster size"
+            scenario.cluster.total_gpus()
         );
-        let _ = world;
+        let mut last = SimTime::ZERO;
+        for (i, job) in world.trace.iter().enumerate() {
+            assert!(
+                job.id == JobId(i as u64),
+                "trace[{i}] has id {}: trace ids must be dense indices in submit order",
+                job.id.0
+            );
+            assert!(
+                job.submit >= last,
+                "trace[{i}] submits at {} before trace[{}] at {last}: the trace must be \
+                 sorted by submit time",
+                job.submit,
+                i - 1
+            );
+            last = job.submit;
+        }
     }
 
     /// The default full probe set, assembled into the classic
     /// [`RunResult`].
-    fn full<Q: EventScheduler<Event>>(scenario: &Scenario, world: &World) -> RunResult {
+    fn full<Q: EventScheduler<JobId>>(scenario: &Scenario, world: &World) -> RunResult {
         let calendar = Calendar::new(scenario.start);
         let probes = (
             TelemetryProbe::with_capacity(calendar, scenario.horizon_hours),
@@ -822,7 +857,7 @@ impl SimDriver {
     }
 
     /// Dispatch `observe` to a statically-composed probe set.
-    fn observed<Q: EventScheduler<Event>, P: ReplayProfiler>(
+    fn observed<Q: EventScheduler<JobId>, P: ReplayProfiler>(
         scenario: &Scenario,
         world: &World,
         observe: Observe,
@@ -895,7 +930,7 @@ impl SimDriver {
 
     /// The event loop, generic over the scheduler core, the probe set and
     /// the profiler.
-    fn replay<Q: EventScheduler<Event>, O: RunProbes, P: ReplayProfiler>(
+    fn replay<Q: EventScheduler<JobId>, O: RunProbes, P: ReplayProfiler>(
         scenario: &Scenario,
         world: &World,
         probes: O,
@@ -911,21 +946,20 @@ impl SimDriver {
 
         let mut strategy = scenario.strategy.build();
 
-        // Event queue: all arrivals and hourly ticks up front. Completions
-        // are scheduled as jobs start; since a completion only exists after
-        // its arrival popped, the queue never outgrows this capacity.
-        let mut queue: Q = Q::with_hints(trace.len() + hours + 8, hours as u64 * HOUR);
-        for (i, job) in trace.iter().enumerate() {
-            queue.schedule(job.submit, Event::Arrival(i as u32));
-        }
-        for h in 1..=hours {
-            queue.schedule(SimTime::from_hours(h as u64), Event::Tick);
-        }
-
         let cluster = Cluster::new(scenario.cluster.clone());
         // At most `total_gpus` jobs run concurrently (every gang is ≥1 GPU),
         // which bounds the completion profile.
         let max_concurrent = cluster.total_gpus() as usize + 1;
+        // Arrivals are read off the trace (sorted by submit time, checked
+        // by `check_world`) and the hourly ticks off a counter, so the
+        // scheduler core holds only the completions of running jobs: it
+        // never outgrows `max_concurrent`.
+        let events = ReplayStream::new(
+            trace,
+            HOUR,
+            hours as u64,
+            Q::with_hints(max_concurrent, hours as u64 * HOUR),
+        );
         // Only the slab variant the apply path uses is materialized.
         let apply_fast = scenario.apply == ApplyPath::Fast;
         let mut running = Vec::new();
@@ -949,7 +983,7 @@ impl SimDriver {
             hours,
             policy,
             cluster,
-            queue,
+            events,
             waiting: WaitQueue::new(),
             running,
             finish_at,
@@ -981,7 +1015,7 @@ impl SimDriver {
 
         while let Some((t, ev)) = {
             let m = engine.prof.mark();
-            let popped = engine.queue.pop();
+            let popped = engine.events.pop();
             engine.prof.record_sub(ProfileSubPhase::EventPop, m);
             popped
         } {
@@ -994,9 +1028,9 @@ impl SimDriver {
             }
 
             match ev {
-                Event::Arrival(idx) => {
+                Next::Arrival(idx) => {
                     engine.prof.bump(ProfileCounter::Arrivals, 1);
-                    let job = trace[idx as usize];
+                    let job = trace[idx];
                     // Lone-arrival fast path: an arrival to an empty queue
                     // with free capacity resolves without the fit-indexed
                     // queue round-trip (see `DispatchPath`). Any other
@@ -1017,13 +1051,14 @@ impl SimDriver {
                         engine.dispatch(t);
                     }
                 }
-                Event::Completion(id) => {
+                Next::Scheduled(id) => {
                     engine.prof.bump(ProfileCounter::Completions, 1);
                     if engine.finish_job(id) {
                         engine.dispatch(t);
                     }
                 }
-                Event::Tick => {
+                Next::Tick(k) => {
+                    debug_assert_eq!(k, engine.hour_cursor as u64 + 1, "tick k ends hour k-1");
                     engine.prof.bump(ProfileCounter::Ticks, 1);
                     let tick_mark = engine.prof.mark();
                     // Finalize the hour that just ended. The cooling plant
@@ -1100,11 +1135,12 @@ impl SimDriver {
             engine.policy.backfill_visits(),
         );
 
-        // Debug stats: a correct driver never schedules into the past.
-        // Debug builds panic inside `schedule` at the offending call site;
-        // release builds clamp-and-count instead, so the silent FIFO-order
-        // hazard surfaces here rather than vanishing.
-        let clamped = engine.queue.clamped();
+        // Only completions are scheduled, at `start + duration` with a
+        // non-negative duration, so a correct driver never schedules into
+        // the past. Debug builds panic inside `schedule` at the offending
+        // call site; release builds clamp-and-count instead, so the silent
+        // FIFO-order hazard surfaces here rather than vanishing.
+        let clamped = engine.events.clamped();
         debug_assert_eq!(clamped, 0, "driver scheduled events in the past");
         if clamped > 0 {
             eprintln!(
@@ -1592,6 +1628,32 @@ mod tests {
         assert_eq!(ra.jobs.submitted, rb.jobs.submitted);
     }
 
+    /// The event stream reads arrivals off the trace in order, so replay
+    /// refuses an unsorted trace in every build instead of replaying it
+    /// out of time order.
+    #[test]
+    #[should_panic(expected = "the trace must be sorted by submit time")]
+    fn replay_rejects_an_unsorted_trace() {
+        let s = Scenario::quick(3, 31);
+        let mut world = World::build(&s);
+        assert!(world.trace.len() > 2);
+        // Swap two submit times, keeping the ids dense.
+        let (a, b) = (world.trace[0].submit, world.trace[2].submit);
+        assert!(a < b, "quick trace has distinct early submits");
+        world.trace[0].submit = b;
+        world.trace[2].submit = a;
+        SimDriver::run_with_world(&s, &world);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace[1] has id 2: trace ids must be dense")]
+    fn replay_rejects_sparse_trace_ids() {
+        let s = Scenario::quick(3, 31);
+        let mut world = World::build(&s);
+        world.trace[1].id = JobId(2);
+        SimDriver::run_observed(&s, &world, Observe::aggregates());
+    }
+
     /// A caller-defined probe sees the full point stream: one `Submitted`
     /// and (for every completed job) one `Started` per job, settle
     /// outcomes consistent with the purchase records, and attaching it
@@ -1637,7 +1699,7 @@ mod tests {
 
         let s = Scenario::quick(10, 19).with_battery();
         let world = World::build(&s);
-        let outcome = SimDriver::replay::<CalendarQueue<Event>, _, _>(
+        let outcome = SimDriver::replay::<CalendarQueue<JobId>, _, _>(
             &s,
             &world,
             Audit::default(),

@@ -121,15 +121,19 @@ pub struct Cluster {
     alloc_power_w: f64,
     /// Nodes hosting ≥ 1 allocated GPU.
     active_nodes: u32,
-    /// Free-level index: `level_nodes[f-1]` holds the nodes with exactly
-    /// `f` free GPUs, each list sorted by node index and maintained
-    /// incrementally on allocate/release. Walking levels ascending, nodes
-    /// ascending within each, reproduces the comparison sort by
-    /// `(free, n)` the packing is specified as — without rescanning every
-    /// node per `allocate` (the driver allocates on every job start, so
-    /// this is hot; a property test pins the walk against the sorted
-    /// reference).
-    level_nodes: Vec<Vec<u32>>,
+    /// Free-level index: one node bitset per free level, `level_words`
+    /// words each. Bit `n` of level `f`'s bitset (words
+    /// `[(f-1)·level_words, f·level_words)`) is set iff node `n` has
+    /// exactly `f` free GPUs; fully allocated nodes are in no level.
+    /// Allocate and release move a touched node between levels with two
+    /// bit flips. Walking levels ascending, set bits ascending within each
+    /// (`trailing_zeros`), reproduces the comparison sort by `(free, n)`
+    /// the packing is specified as — without rescanning every node per
+    /// `allocate` (the driver allocates on every job start, so this is
+    /// hot; a property test pins the walk against the sorted reference).
+    level_bits: Vec<u64>,
+    /// Words per level bitset: `nodes / 64` rounded up, at least 1.
+    level_words: usize,
     /// Recycled `pieces` buffers: `release` returns each allocation's
     /// piece list here so the next `allocate` starts from a warm buffer.
     pieces_pool: Vec<Vec<(u32, u32)>>,
@@ -140,10 +144,14 @@ impl Cluster {
     pub fn new(spec: ClusterSpec) -> Cluster {
         let free_per_node = vec![spec.gpus_per_node; spec.nodes as usize];
         let free_total = spec.total_gpus();
-        let mut level_nodes = vec![Vec::new(); spec.gpus_per_node as usize];
+        let level_words = (spec.nodes as usize).div_ceil(64).max(1);
+        let mut level_bits = vec![0u64; spec.gpus_per_node as usize * level_words];
         if spec.gpus_per_node > 0 {
             // Every node starts fully free.
-            level_nodes[spec.gpus_per_node as usize - 1] = (0..spec.nodes).collect();
+            let top = (spec.gpus_per_node as usize - 1) * level_words;
+            for n in 0..spec.nodes as usize {
+                level_bits[top + n / 64] |= 1 << (n % 64);
+            }
         }
         Cluster {
             spec,
@@ -153,7 +161,8 @@ impl Cluster {
             free_total,
             alloc_power_w: 0.0,
             active_nodes: 0,
-            level_nodes,
+            level_bits,
+            level_words,
             pieces_pool: Vec::new(),
         }
     }
@@ -169,20 +178,20 @@ impl Cluster {
     }
 
     /// Move node `n` from free level `from` to free level `to` (0 = not
-    /// listed). Lists stay sorted by node index via binary search.
+    /// indexed): clear its bit in one level bitset, set it in the other.
     #[inline]
     fn relevel(&mut self, n: u32, from: u32, to: u32) {
+        let word = n as usize / 64;
+        let bit = 1u64 << (n % 64);
         if from > 0 {
-            let list = &mut self.level_nodes[from as usize - 1];
-            let i = list.binary_search(&n).expect("level index holds the node");
-            list.remove(i);
+            let w = &mut self.level_bits[(from as usize - 1) * self.level_words + word];
+            debug_assert!(*w & bit != 0, "level index holds the node");
+            *w &= !bit;
         }
         if to > 0 {
-            let list = &mut self.level_nodes[to as usize - 1];
-            let i = list
-                .binary_search(&n)
-                .expect_err("node already at target level");
-            list.insert(i, n);
+            let w = &mut self.level_bits[(to as usize - 1) * self.level_words + word];
+            debug_assert!(*w & bit == 0, "node already at target level");
+            *w |= bit;
         }
     }
 
@@ -254,23 +263,28 @@ impl Cluster {
             return Err(AllocError::InsufficientGpus);
         }
         // Plan over the free-level index: ascending level, ascending node
-        // within each list — exactly the `(free, n)` comparison-sort order
-        // over candidate nodes (free > 0), so we fill partially-used nodes
-        // before waking idle ones. The plan walk never mutates the index,
-        // so it sees the same pre-allocation snapshot a rebuilt candidate
-        // list would.
+        // within each bitset — exactly the `(free, n)` comparison-sort
+        // order over candidate nodes (free > 0), so we fill partially-used
+        // nodes before waking idle ones. The plan walk never mutates the
+        // index, so it sees the same pre-allocation snapshot a rebuilt
+        // candidate list would.
         let mut remaining = gpus;
         let mut pieces = self.pieces_pool.pop().unwrap_or_default();
         debug_assert!(pieces.is_empty(), "pooled piece buffers come back clean");
-        'fill: for (level, nodes) in self.level_nodes.iter().enumerate() {
+        'fill: for (level, words) in self.level_bits.chunks_exact(self.level_words).enumerate() {
             let free = level as u32 + 1;
-            for &n in nodes {
-                debug_assert_eq!(self.free_per_node[n as usize], free);
-                let take = remaining.min(free);
-                pieces.push((n, take));
-                remaining -= take;
-                if remaining == 0 {
-                    break 'fill;
+            for (wi, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let n = (wi * 64) as u32 + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    debug_assert_eq!(self.free_per_node[n as usize], free);
+                    let take = remaining.min(free);
+                    pieces.push((n, take));
+                    remaining -= take;
+                    if remaining == 0 {
+                        break 'fill;
+                    }
                 }
             }
         }
@@ -404,25 +418,21 @@ impl Cluster {
                 ));
             }
         }
-        for (level, nodes) in self.level_nodes.iter().enumerate() {
-            let free = level as u32 + 1;
-            if !nodes.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("level {free} list not sorted/unique: {nodes:?}"));
-            }
-            for &n in nodes {
-                if self.free_per_node[n as usize] != free {
-                    return Err(format!(
-                        "node {n} listed at free level {free} but has {} free",
-                        self.free_per_node[n as usize]
-                    ));
-                }
+        // The level bitsets must be exactly the ones `free_per_node`
+        // implies: every node with free GPUs at its level, nothing else
+        // (no node twice, no bit past the last node).
+        let words = self.level_words;
+        let mut expected = vec![0u64; self.level_bits.len()];
+        for (n, &free) in self.free_per_node.iter().enumerate() {
+            if free > 0 && free <= self.spec.gpus_per_node {
+                expected[(free as usize - 1) * words + n / 64] |= 1 << (n % 64);
             }
         }
-        let listed: usize = self.level_nodes.iter().map(Vec::len).sum();
-        let candidates = self.free_per_node.iter().filter(|&&f| f > 0).count();
-        if listed != candidates {
+        if let Some(i) = (0..expected.len()).find(|&i| expected[i] != self.level_bits[i]) {
+            let (level, word) = (i / words + 1, i % words);
             return Err(format!(
-                "level index lists {listed} nodes but {candidates} have free GPUs"
+                "level {level} bitset word {word} is {:#x}, free_per_node implies {:#x}",
+                self.level_bits[i], expected[i]
             ));
         }
         let alloc_sum: u32 = self
@@ -568,6 +578,26 @@ mod tests {
         assert!(c.recap(JobId(1), 60.0));
         assert_eq!(c.allocation(JobId(1)).unwrap().power_cap_w, 100.0); // clamped
         assert!(!c.recap(JobId(99), 150.0));
+    }
+
+    #[test]
+    fn invariants_catch_a_stale_level_bit() {
+        let mut c = Cluster::new(ClusterSpec {
+            nodes: 70,
+            gpus_per_node: 2,
+            ..ClusterSpec::default()
+        });
+        c.allocate(JobId(1), 3, 250.0, 1.0).unwrap();
+        c.check_invariants().unwrap();
+        // Node 1 has one free GPU; also mark it fully free.
+        c.level_bits[c.level_words] |= 1 << 1;
+        let err = c.check_invariants().unwrap_err();
+        assert!(err.contains("level 2 bitset word 0"), "{err}");
+        c.level_bits[c.level_words] &= !(1 << 1);
+        // A bit past the last node (70) in the second word.
+        c.level_bits[c.level_words + 1] |= 1 << 10;
+        let err = c.check_invariants().unwrap_err();
+        assert!(err.contains("level 2 bitset word 1"), "{err}");
     }
 
     #[test]

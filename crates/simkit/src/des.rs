@@ -14,7 +14,11 @@
 //! * [`EventQueue`] — the `BinaryHeap`-backed reference implementation
 //!   (O(log n) schedule/pop, golden for determinism tests);
 //! * [`crate::calq::CalendarQueue`] — a calendar/bucket queue with O(1)
-//!   amortized pop for the dominant hourly-tick stream of year-scale runs.
+//!   amortized pop for time-clustered loads.
+//!
+//! A trace replay need not pre-load its arrivals and periodic ticks into
+//! either core: [`crate::stream::ReplayStream`] merges them from cursors
+//! with a core that holds only the events scheduled during the replay.
 //!
 //! Both pop the exact same `(time, seq)` sequence for the same schedule
 //! calls (a property test in `calq` pins this), so swapping cores never
@@ -40,8 +44,9 @@ use std::collections::BinaryHeap;
 /// simulations — which is what lets the driver treat the core as a
 /// performance knob rather than a semantic one.
 pub trait EventScheduler<E> {
-    /// An empty scheduler sized for roughly `events` total events spanning
-    /// `horizon_secs` of simulated time. Both hints are advisory.
+    /// An empty scheduler sized for roughly `events` simultaneously pending
+    /// events spanning `horizon_secs` of simulated time. Both hints are
+    /// advisory.
     fn with_hints(events: usize, horizon_secs: u64) -> Self
     where
         Self: Sized;
@@ -68,6 +73,10 @@ pub trait EventScheduler<E> {
 
     /// Schedule `event` at absolute time `at`.
     fn schedule(&mut self, at: SimTime, event: E);
+
+    /// Timestamp of the next pending event, if any: the time the next
+    /// [`EventScheduler::pop`] returns.
+    fn peek_time(&self) -> Option<SimTime>;
 
     /// Pop the next event, advancing the clock to its timestamp.
     fn pop(&mut self) -> Option<(SimTime, E)>;
@@ -255,6 +264,10 @@ impl<E> EventScheduler<E> for EventQueue<E> {
 
     fn schedule(&mut self, at: SimTime, event: E) {
         EventQueue::schedule(self, at, event)
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        EventQueue::peek_time(self)
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {

@@ -17,7 +17,10 @@
 //!   [`des::EventScheduler`] trait that makes the event-scheduler core
 //!   pluggable.
 //! * [`calq`] — a calendar/bucket [`EventScheduler`] with O(1) amortized
-//!   pop for tick-dominated year-scale runs.
+//!   pop and bucket-local scheduling.
+//! * [`stream`] — the replay event stream: a cursor over pre-sorted
+//!   arrivals, a tick counter and an [`EventScheduler`] core for the events
+//!   scheduled while the replay runs, merged in pre-loaded-queue order.
 //! * [`obs`] — generic, decision-invisible observation probes: event loops
 //!   emit typed observation points to statically-composed [`obs::Probe`]
 //!   sets, so callers pay only for what they watch.
@@ -42,6 +45,7 @@ pub mod proc;
 pub mod rng;
 pub mod series;
 pub mod stats;
+pub mod stream;
 pub mod sweep;
 pub mod time;
 pub mod units;
@@ -52,5 +56,6 @@ pub use des::{EventQueue, EventScheduler, ScheduledEvent};
 pub use obs::Probe;
 pub use rng::RngHub;
 pub use series::{HourlySeries, MonthlyAgg, MonthlyRow};
+pub use stream::{Next, ReplayStream, Timed};
 pub use time::{Duration, SimTime, HOUR, MINUTE, SECONDS_PER_DAY, SECONDS_PER_HOUR};
 pub use units::{Celsius, Dollars, Energy, Fahrenheit, KgCo2, Liters, Power};

@@ -6,6 +6,7 @@
 //! the work stays constant. Inference is modelled separately (§IV-B): a
 //! long-lived low-utilization service rather than a batch job.
 
+use greener_simkit::stream::Timed;
 use greener_simkit::time::{Duration, SimTime};
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
@@ -79,6 +80,15 @@ pub struct Job {
     pub start_deadline: Option<SimTime>,
     /// Queue the job was submitted to.
     pub queue: QueueClass,
+}
+
+/// A trace replays as a [`greener_simkit::ReplayStream`] arrival slice:
+/// each job arrives at its submit time.
+impl Timed for Job {
+    #[inline]
+    fn at(&self) -> SimTime {
+        self.submit
+    }
 }
 
 impl Job {
