@@ -252,10 +252,11 @@ struct CampaignMeasurement {
 
 /// Time the `campaign_small` manifest through the campaign executor.
 ///
-/// Both timed passes run **one shard, sequentially**, so the ratio
-/// isolates world reuse: the rebuild pass builds all `cells` worlds, the
-/// reuse pass builds `distinct_worlds` (= 1 here — every axis is
-/// replay-side) and replays the rest over the cache.
+/// Both timed passes run **one shard** in-process, so both fan the same
+/// cells out across the same threads and the ratio isolates world reuse:
+/// the rebuild pass builds all `cells` worlds, the reuse pass builds
+/// `distinct_worlds` (= 1 here — every axis is replay-side) and replays
+/// the rest over the cache.
 ///
 /// Caveat, as for every lane in this binary: the container's timer noise
 /// is ±30% on short runs, so the recorded speedup is indicative, not a

@@ -1,12 +1,24 @@
 //! Shard-and-merge campaign execution with world-reuse caching.
 //!
-//! A plan is partitioned into K contiguous shards; each shard runs
-//! independently through a [`ShardBackend`] and returns a **serialized**
-//! aggregate artifact; the artifacts are merged back in cell-index order
-//! into one [`CampaignReport`]. The serialization boundary is deliberate:
-//! a backend that ships shards to worker processes (or machines) and
-//! returns their stdout is a drop-in — the merge only ever sees artifact
-//! text.
+//! A plan is partitioned into K contiguous shards; each shard yields a
+//! **serialized** aggregate artifact, and the artifacts are merged back
+//! in cell-index order into one [`CampaignReport`]. The serialization
+//! boundary is deliberate: a backend that ships shards to worker
+//! processes (or machines) and returns their stdout is a drop-in — the
+//! merge only ever sees artifact text.
+//!
+//! # Shards and cells
+//!
+//! A shard is the unit of artifacts, supervision and resume; a cell is
+//! the unit of parallelism. [`run_campaign`] hands the whole partition to
+//! [`ShardBackend::run_shards`]. [`InProcessBackend`] runs every cell of
+//! the plan through one self-scheduling fan-out (an idle thread claims
+//! the next unclaimed cell, so one slow cell no longer idles the threads
+//! whose shards finished early) and then slices the records into the
+//! per-shard artifacts. The process backend keeps the default: shards
+//! fan out, and each worker process runs its one shard sequentially
+//! through [`ShardBackend::run_shard`]. Both produce the same artifact
+//! bytes for every shard.
 //!
 //! # The merge-determinism invariant
 //!
@@ -22,26 +34,31 @@
 //! # The plan seam
 //!
 //! Everything here is generic over [`Plan`]: an ordered cell list with
-//! stable ids, a cell runner, and a per-cell [`CellRecord`] that
-//! serializes to one artifact line. [`CampaignPlan`] (scenario sweeps)
-//! and [`crate::fleet::FleetPlan`] (fleet routing sweeps) both implement
-//! it, so fleet manifests shard, supervise, resume and merge through the
-//! **same** backends — partitioning, artifact validation, merging and the
+//! stable ids, per-cell world keys, a world builder and a cell runner,
+//! and a per-cell [`CellRecord`] that serializes to one artifact line.
+//! [`CampaignPlan`] (scenario sweeps) and [`crate::fleet::FleetPlan`]
+//! (fleet routing sweeps) both implement it, so fleet manifests shard,
+//! supervise, resume and merge through the **same** backends —
+//! partitioning, world caching, artifact validation, merging and the
 //! equivalence axis have zero plan-kind-specific code paths.
 //!
 //! # World reuse
 //!
-//! [`InProcessBackend`] asks the plan to run each shard's cell range with
-//! `world_reuse` on; [`CampaignPlan`] keys each cell by
-//! [`Scenario::world_inputs_key`](crate::scenario::Scenario::world_inputs_key) and builds each distinct world once per
-//! shard, replaying every matching cell over it via the aggregates-only
-//! observation fast path — exactly the by-hand pattern the bench crate
-//! established, now automatic. On a policy-only campaign this turns
-//! O(cells) world builds into O(distinct seeds) per shard. (The fleet
-//! plan does the same with whole fleet worlds, keyed per site.)
+//! With `world_reuse` on (the default), cells are grouped by
+//! [`Plan::world_key`] — [`Scenario::world_inputs_key`](crate::scenario::Scenario::world_inputs_key)
+//! for campaign cells, the routing-invariant fleet key for fleet cells —
+//! and each distinct world is built once by the first cell that needs it,
+//! every matching cell replays over it via the aggregates-only
+//! observation fast path, and the world is dropped after its last cell.
+//! In-process, that is **once per campaign**; in a worker process it is
+//! **once per shard** ([`Plan::run_cells`]). On a policy-only campaign
+//! this turns O(cells) world builds into O(distinct seeds).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use greener_simkit::rng::fnv1a;
 use greener_simkit::sweep;
@@ -51,7 +68,7 @@ use crate::driver::{JobStats, SimDriver, World};
 use crate::equivalence::Fingerprint;
 use crate::probe::{Observe, RunAggregates};
 
-use super::plan::{CampaignCell, CampaignPlan};
+use super::plan::CampaignPlan;
 
 /// An error while parsing or merging shard artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,6 +285,10 @@ pub trait Plan: Sync {
     /// The record type this plan's cells produce.
     type Record: CellRecord;
 
+    /// The world a cell replays over ([`World`] for campaign cells,
+    /// [`crate::fleet::FleetWorld`] for fleet cells).
+    type World: Send + Sync;
+
     /// File name the process backend publishes the manifest under in its
     /// artifact directory (`manifest.campaign` / `manifest.fleet`), so
     /// the directory is self-describing about which worker mode
@@ -295,17 +316,109 @@ pub trait Plan: Sync {
     /// re-fingerprints the plan even when cell ids stay put.
     fn cell_config(&self, index: usize) -> String;
 
-    /// Run cells `start..end` in plan order and return their records in
-    /// that order. `world_reuse` builds each distinct world once per call
-    /// instead of once per cell; both modes must produce identical bytes
-    /// (the reuse invariant every plan kind pins in tests).
-    fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<Self::Record>;
+    /// Cell `index`'s world-inputs key: cells with equal keys replay over
+    /// the same world, so a world cache builds it once for all of them.
+    fn world_key(&self, index: usize) -> String;
+
+    /// Build cell `index`'s world from scratch.
+    fn build_world(&self, index: usize) -> Self::World;
+
+    /// Replay cell `index` over `world` through the aggregates-only
+    /// observation fast path and return its record.
+    fn run_cell(&self, index: usize, world: &Self::World) -> Self::Record;
+
+    /// Run cells `start..end` in order on the calling thread and return
+    /// their records in plan order — one shard the way a worker runs it.
+    /// `world_reuse` builds each distinct world once per call instead of
+    /// once per cell; both modes must produce identical bytes (the reuse
+    /// invariant every plan kind pins in tests).
+    fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<Self::Record> {
+        let cache = WorldCache::new(self, start..end, world_reuse);
+        (start..end).map(|i| cache.run(i)).collect()
+    }
 
     /// The straight-run reference fingerprint for cell `index` (fresh
     /// world, no sharding, no reuse) — what
     /// [`crate::equivalence::assert_campaign_equivalent`] compares every
     /// merged record against.
     fn reference_fingerprint(&self, index: usize) -> Fingerprint;
+}
+
+/// The world cache every plan kind runs its cells through. Each distinct
+/// world key among `cells` gets one slot: the first cell that needs the
+/// world builds it (a cell needing it meanwhile waits on the slot rather
+/// than building a twin), and the last cell that uses it drops it, so a
+/// run holds only the worlds it still needs. Without reuse every cell
+/// builds its own world.
+struct WorldCache<'p, P: Plan + ?Sized> {
+    plan: &'p P,
+    start: usize,
+    /// Per cell of the range, its slot in `slots` (empty without reuse).
+    slot_of: Vec<usize>,
+    slots: Vec<WorldSlot<P::World>>,
+}
+
+struct WorldSlot<W> {
+    world: Mutex<Option<Arc<W>>>,
+    /// Cells of the range that have yet to finish with this world.
+    pending: AtomicUsize,
+}
+
+impl<W> WorldSlot<W> {
+    /// The slot's world, if built and not yet released.
+    fn held(&self) -> MutexGuard<'_, Option<Arc<W>>> {
+        // Only a world build runs under this lock.
+        self.world
+            .lock()
+            .expect("a cell building this world panicked")
+    }
+}
+
+impl<'p, P: Plan + ?Sized> WorldCache<'p, P> {
+    fn new(plan: &'p P, cells: Range<usize>, world_reuse: bool) -> WorldCache<'p, P> {
+        let start = cells.start;
+        let (mut slot_of, mut slots) = (Vec::new(), Vec::new());
+        if world_reuse {
+            let mut by_key: HashMap<String, usize> = HashMap::new();
+            for i in cells {
+                let slot = *by_key.entry(plan.world_key(i)).or_insert_with(|| {
+                    slots.push(WorldSlot {
+                        world: Mutex::new(None),
+                        pending: AtomicUsize::new(0),
+                    });
+                    slots.len() - 1
+                });
+                *slots[slot].pending.get_mut() += 1;
+                slot_of.push(slot);
+            }
+        }
+        WorldCache {
+            plan,
+            start,
+            slot_of,
+            slots,
+        }
+    }
+
+    /// Run cell `index` (which must lie in the cache's range).
+    fn run(&self, index: usize) -> P::Record {
+        let Some(&slot) = self.slot_of.get(index - self.start) else {
+            return self.plan.run_cell(index, &self.plan.build_world(index));
+        };
+        let slot = &self.slots[slot];
+        let world = {
+            let mut held = slot.held();
+            Arc::clone(held.get_or_insert_with(|| Arc::new(self.plan.build_world(index))))
+        };
+        let record = self.plan.run_cell(index, &world);
+        // The slot's mutex orders the take against every clone; the
+        // counter only elects the last user, which drops the cache's
+        // handle (a user still holding its own keeps the world alive).
+        if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            slot.held().take();
+        }
+        record
+    }
 }
 
 /// One cell's aggregate results, as carried by artifacts and reports.
@@ -636,14 +749,30 @@ pub trait ShardBackend<P: Plan>: Sync {
     fn try_run_shard(&self, plan: &P, shard: &ShardSpec) -> Result<ShardArtifact, ShardError> {
         Ok(self.run_shard(plan, shard))
     }
+
+    /// Run all of `shards` (a [`partition`] of the whole plan) and return
+    /// each one's outcome, in shard order. By default the shards fan out
+    /// across threads, one [`ShardBackend::try_run_shard`] each — the
+    /// unit a supervising backend retries and resumes.
+    /// [`InProcessBackend`] fans out cells instead.
+    fn run_shards(&self, plan: &P, shards: &[ShardSpec]) -> Vec<Result<ShardArtifact, ShardError>> {
+        sweep::run(shards, |spec| self.try_run_shard(plan, spec))
+    }
 }
 
-/// In-process shard runner: replays each cell through the aggregates-only
+/// In-process runner: replays each cell through the aggregates-only
 /// observation fast path, optionally reusing worlds across cells whose
 /// world-input keys match.
+///
+/// A whole campaign ([`ShardBackend::run_shards`]) runs every cell of the
+/// plan through one self-scheduling fan-out with one world cache, then
+/// slices the records into the per-shard artifacts; a single shard
+/// ([`ShardBackend::run_shard`], what a worker process runs) runs its
+/// cells in order on the calling thread through [`Plan::run_cells`].
+/// Both give the same artifact bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct InProcessBackend {
-    /// Build each distinct world once per shard (`true`, the default) or
+    /// Build each distinct world once per run (`true`, the default) or
     /// once per cell (`false` — the per-cell reference the reuse tests
     /// and the perfjson campaign lane compare against).
     pub world_reuse: bool,
@@ -655,24 +784,27 @@ impl Default for InProcessBackend {
     }
 }
 
-impl InProcessBackend {
-    /// Run one cell over a pre-built world.
-    fn run_cell(cell: &CampaignCell, world: &World) -> CellResult {
-        let out = SimDriver::run_observed(&cell.scenario, world, Observe::aggregates());
-        CellResult {
-            index: cell.index,
-            id: cell.id.clone(),
-            aggregates: out.aggregates,
-            jobs: out.jobs,
-            battery_cycles: out.battery_cycles,
-        }
-    }
-}
-
 impl<P: Plan> ShardBackend<P> for InProcessBackend {
     fn run_shard(&self, plan: &P, shard: &ShardSpec) -> ShardArtifact {
         let results = plan.run_cells(shard.start, shard.end, self.world_reuse);
         ShardArtifact::compose(plan_fingerprint(plan), shard, &results)
+    }
+
+    fn run_shards(&self, plan: &P, shards: &[ShardSpec]) -> Vec<Result<ShardArtifact, ShardError>> {
+        let cache = WorldCache::new(plan, 0..plan.len(), self.world_reuse);
+        let indices: Vec<usize> = (0..plan.len()).collect();
+        let records = sweep::run(&indices, |&i| cache.run(i));
+        let plan_fp = plan_fingerprint(plan);
+        shards
+            .iter()
+            .map(|spec| {
+                Ok(ShardArtifact::compose(
+                    plan_fp,
+                    spec,
+                    &records[spec.start..spec.end],
+                ))
+            })
+            .collect()
     }
 }
 
@@ -705,6 +837,7 @@ impl CellRecord for CellResult {
 
 impl Plan for CampaignPlan {
     type Record = CellResult;
+    type World = World;
 
     const MANIFEST_FILE: &'static str = "manifest.campaign";
 
@@ -724,21 +857,24 @@ impl Plan for CampaignPlan {
         format!("{:?}", self.cells[index].scenario)
     }
 
-    fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<CellResult> {
-        let cells = &self.cells[start..end];
-        let mut worlds: HashMap<String, World> = HashMap::new();
-        let mut results = Vec::with_capacity(cells.len());
-        for cell in cells {
-            results.push(if world_reuse {
-                let world = worlds
-                    .entry(cell.scenario.world_inputs_key())
-                    .or_insert_with(|| World::build(&cell.scenario));
-                InProcessBackend::run_cell(cell, world)
-            } else {
-                InProcessBackend::run_cell(cell, &World::build(&cell.scenario))
-            });
+    fn world_key(&self, index: usize) -> String {
+        self.cells[index].scenario.world_inputs_key()
+    }
+
+    fn build_world(&self, index: usize) -> World {
+        World::build(&self.cells[index].scenario)
+    }
+
+    fn run_cell(&self, index: usize, world: &World) -> CellResult {
+        let cell = &self.cells[index];
+        let out = SimDriver::run_observed(&cell.scenario, world, Observe::aggregates());
+        CellResult {
+            index: cell.index,
+            id: cell.id.clone(),
+            aggregates: out.aggregates,
+            jobs: out.jobs,
+            battery_cycles: out.battery_cycles,
         }
-        results
     }
 
     fn reference_fingerprint(&self, index: usize) -> Fingerprint {
@@ -823,25 +959,33 @@ pub fn merge_artifacts<P: Plan>(
     })
 }
 
-/// Run a whole campaign: partition into `shards` shards, fan the shards
-/// out across threads (outer sweep level), merge. The merged report is
-/// bit-identical for any `shards ≥ 1` and any `RAYON_NUM_THREADS`.
+/// Run a whole campaign: partition into `shards` shards, run them through
+/// [`ShardBackend::run_shards`] (the outer sweep level: cells fan out
+/// in-process, shards fan out to supervised workers), merge. The merged
+/// report is bit-identical for any `shards ≥ 1` and any
+/// `RAYON_NUM_THREADS`; `shards == 0` is an error.
 ///
-/// Shards run through the fallible seam
-/// ([`ShardBackend::try_run_shard`]); if any shard fails after the
-/// backend's own recovery (retries, resume) is exhausted, the error for
-/// the **lowest-indexed** failing shard is reported — deterministic no
-/// matter which shard's thread finished first.
+/// Shard outcomes are fallible ([`ShardBackend::try_run_shard`]); if any
+/// shard fails after the backend's own recovery (retries, resume) is
+/// exhausted, the error for the **lowest-indexed** failing shard is
+/// reported — deterministic no matter which shard's thread finished
+/// first.
 pub fn run_campaign<P: Plan>(
     plan: &P,
     backend: &impl ShardBackend<P>,
     shards: usize,
 ) -> Result<CampaignReport<P::Record>, CampaignError> {
+    if shards == 0 {
+        return cerr(format!(
+            "shard count must be positive (got {shards}) for plan `{}`",
+            plan.name()
+        ));
+    }
     let specs = partition(plan.len(), shards);
-    let outcomes = sweep::run(&specs, |spec| backend.try_run_shard(plan, spec));
+    let outcomes = backend.run_shards(plan, &specs);
     let mut artifacts = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
-        // sweep::run returns in spec order, so the first error seen is
+        // Outcomes come back in spec order, so the first error seen is
         // the lowest shard ordinal.
         artifacts.push(outcome.map_err(|e| CampaignError { msg: e.to_string() })?);
     }
@@ -885,6 +1029,14 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn partition_rejects_zero_shards() {
         partition(4, 0);
+    }
+
+    #[test]
+    fn run_campaign_reports_zero_shards_as_an_error() {
+        let plan = tiny_plan();
+        let e = run_campaign(&plan, &InProcessBackend::default(), 0).unwrap_err();
+        assert!(e.msg.contains("shard count"), "{e}");
+        assert!(e.msg.contains("got 0"), "{e}");
     }
 
     #[test]
@@ -1122,9 +1274,8 @@ mod tests {
         /// encoding the artifact layer uses. Bit-exact float encoding makes
         /// text equality exactly aggregate bit equality.
         fn straight_text(plan: &CampaignPlan) -> String {
-            let lines = sweep::run_seeded(&plan.cells, 0, |_, cell, _hub| {
-                let world = World::build(&cell.scenario);
-                InProcessBackend::run_cell(cell, &world).to_line()
+            let lines = sweep::run_seeded(&plan.cells, 0, |i, _, _hub| {
+                plan.run_cell(i, &plan.build_world(i)).to_line()
             });
             let mut out = format!("campaign {} cells {}\n", plan.name, plan.cells.len());
             for line in lines {
@@ -1139,12 +1290,15 @@ mod tests {
                 crate::equivalence::proptest_cases(4)
             ))]
             /// Shard-and-merge bit-equality over random small manifests:
-            /// for every shard count in {1, 2, 7, cells} and
-            /// `RAYON_NUM_THREADS` in {1, 4}, with and without world
-            /// reuse, the merged report text equals the straight
-            /// `run_seeded` reference byte for byte. (The vendored rayon
-            /// reads the variable per call and every engine axis is
-            /// thread-count-invariant, so toggling it in-process is safe.)
+            /// for every shard count in {1, 2, 3, 7, cells} and
+            /// `RAYON_NUM_THREADS` in {1, 2, 4}, with and without world
+            /// reuse, the in-process run's per-shard artifacts equal
+            /// [`InProcessBackend::run_shard`] of each spec (the path a
+            /// worker process runs) byte for byte, and the merged report
+            /// text equals the straight `run_seeded` reference. (The
+            /// vendored rayon reads the variable per call and every
+            /// engine axis is thread-count-invariant, so toggling it
+            /// in-process is safe.)
             #[test]
             fn sharded_merge_equals_straight_run_seeded(
                 days in 2usize..4,
@@ -1182,11 +1336,25 @@ mod tests {
                 let plan = manifest.expand().unwrap();
                 let reference = straight_text(&plan);
                 let prior = std::env::var("RAYON_NUM_THREADS").ok();
-                for threads in ["1", "4"] {
+                for threads in ["1", "2", "4"] {
                     std::env::set_var("RAYON_NUM_THREADS", threads);
                     for world_reuse in [true, false] {
                         let backend = InProcessBackend { world_reuse };
-                        for k in [1, 2, 7, plan.len()] {
+                        for k in [1, 2, 3, 7, plan.len()] {
+                            let specs = partition(plan.len(), k);
+                            let fanned: Vec<ShardArtifact> = backend
+                                .run_shards(&plan, &specs)
+                                .into_iter()
+                                .map(Result::unwrap)
+                                .collect();
+                            for (spec, artifact) in specs.iter().zip(&fanned) {
+                                prop_assert!(
+                                    *artifact == backend.run_shard(&plan, spec),
+                                    "shard {} of {k} differs from run_shard at \
+                                     threads={threads} reuse={world_reuse}",
+                                    spec.shard
+                                );
+                            }
                             let merged =
                                 run_campaign(&plan, &backend, k).unwrap().to_text();
                             prop_assert!(

@@ -19,9 +19,10 @@
 //!   expansion (first axis outermost, seeds innermost, via
 //!   [`greener_simkit::sweep::gridn_indices`]) into cells with stable ids.
 //! * **[`ShardBackend`] / [`run_campaign`]** ([`exec`]) — contiguous shard
-//!   partition, per-shard execution behind a serialization boundary,
-//!   world-reuse caching keyed by [`Scenario::world_inputs_key`], and the
-//!   index-ordered merge. Artifacts are **versioned and checksummed**
+//!   partition, per-shard artifacts behind a serialization boundary,
+//!   in-process execution that fans cells (not shards) out across threads
+//!   over one world cache keyed by [`Scenario::world_inputs_key`], and
+//!   the index-ordered merge. Artifacts are **versioned and checksummed**
 //!   ([`ShardArtifact`]): a v1 header carries the producing plan's
 //!   fingerprint ([`exec::plan_fingerprint`]) and shard range, an FNV-1a
 //!   trailer seals the content, and [`merge_artifacts`] validates every

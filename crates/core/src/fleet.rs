@@ -173,7 +173,6 @@
 
 use greener_climate::WeatherPath;
 use greener_grid::mix::GridPath;
-use std::collections::HashMap;
 
 use greener_simkit::par;
 use greener_simkit::rng::{fnv1a, RngHub};
@@ -1199,6 +1198,7 @@ impl CellRecord for FleetCellResult {
 
 impl Plan for FleetPlan {
     type Record = FleetCellResult;
+    type World = FleetWorld;
 
     const MANIFEST_FILE: &'static str = "manifest.fleet";
 
@@ -1218,28 +1218,22 @@ impl Plan for FleetPlan {
         format!("{:?}", self.cells[index].fleet)
     }
 
-    fn run_cells(&self, start: usize, end: usize, world_reuse: bool) -> Vec<FleetCellResult> {
-        let cells = &self.cells[start..end];
-        // World-reuse keys on [`FleetScenario::world_inputs_key`], which
-        // is routing-invariant: a routing axis over one base fleet builds
-        // each seed's FleetWorld once per shard and replays every routing
-        // cell over it — the fleet analogue of the campaign layer's
-        // policy-axis reuse.
-        let mut worlds: HashMap<String, FleetWorld> = HashMap::new();
-        let mut results = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let out = if world_reuse {
-                let world = worlds
-                    .entry(cell.fleet.world_inputs_key())
-                    .or_insert_with(|| FleetWorld::build(&cell.fleet));
-                FleetDriver::run_observed(&cell.fleet, world, Observe::aggregates())
-            } else {
-                let world = FleetWorld::build(&cell.fleet);
-                FleetDriver::run_observed(&cell.fleet, &world, Observe::aggregates())
-            };
-            results.push(FleetCellResult::from_output(cell.index, &cell.id, &out));
-        }
-        results
+    /// Routing-invariant ([`FleetScenario::world_inputs_key`]): a routing
+    /// axis over one base fleet builds each seed's [`FleetWorld`] once and
+    /// replays every routing cell over it — the fleet analogue of the
+    /// campaign layer's policy-axis reuse.
+    fn world_key(&self, index: usize) -> String {
+        self.cells[index].fleet.world_inputs_key()
+    }
+
+    fn build_world(&self, index: usize) -> FleetWorld {
+        FleetWorld::build(&self.cells[index].fleet)
+    }
+
+    fn run_cell(&self, index: usize, world: &FleetWorld) -> FleetCellResult {
+        let cell = &self.cells[index];
+        let out = FleetDriver::run_observed(&cell.fleet, world, Observe::aggregates());
+        FleetCellResult::from_output(cell.index, &cell.id, &out)
     }
 
     fn reference_fingerprint(&self, index: usize) -> Fingerprint {
@@ -1917,10 +1911,12 @@ mod tests {
 
             /// Fleet sweeps through the campaign stack: for random small
             /// fleet manifests the merged fleet-campaign report is
-            /// byte-identical across shard counts {1, 2, 7, cells},
-            /// `RAYON_NUM_THREADS` {1, 4}, and FleetWorld reuse on/off —
-            /// the same merge-determinism invariant the campaign plan
-            /// kind pins, now over [`FleetPlan`] records.
+            /// byte-identical across shard counts {1, 2, 3, 7, cells},
+            /// `RAYON_NUM_THREADS` {1, 2, 4}, and FleetWorld reuse on/off,
+            /// and the in-process per-shard artifacts equal
+            /// [`InProcessBackend::run_shard`] of each spec (the worker
+            /// path) byte for byte — the same invariants the campaign
+            /// plan kind pins, now over [`FleetPlan`] records.
             #[test]
             fn fleet_campaign_merge_is_shard_thread_and_reuse_invariant(
                 days in 2usize..4,
@@ -1960,11 +1956,25 @@ mod tests {
                 .unwrap()
                 .to_text();
                 let prior = std::env::var("RAYON_NUM_THREADS").ok();
-                for threads in ["1", "4"] {
+                for threads in ["1", "2", "4"] {
                     std::env::set_var("RAYON_NUM_THREADS", threads);
                     for world_reuse in [true, false] {
                         let backend = InProcessBackend { world_reuse };
-                        for k in [1, 2, 7, plan.cells.len()] {
+                        for k in [1, 2, 3, 7, plan.cells.len()] {
+                            let specs = partition(plan.cells.len(), k);
+                            let fanned: Vec<ShardArtifact> = backend
+                                .run_shards(&plan, &specs)
+                                .into_iter()
+                                .map(Result::unwrap)
+                                .collect();
+                            for (spec, artifact) in specs.iter().zip(&fanned) {
+                                prop_assert!(
+                                    *artifact == backend.run_shard(&plan, spec),
+                                    "shard {} of {k} differs from run_shard at \
+                                     threads={threads} reuse={world_reuse}",
+                                    spec.shard
+                                );
+                            }
                             let merged = run_campaign(&plan, &backend, k).unwrap().to_text();
                             prop_assert!(
                                 merged == reference,

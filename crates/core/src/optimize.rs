@@ -146,10 +146,12 @@ impl Eq1Problem {
     /// The grid expands through the campaign planner
     /// ([`CampaignManifest`] with a `qs_mult` axis outer and a `policy`
     /// axis inner — the same row-major order `grid2` produced) and runs
-    /// one cell per shard, preserving the historical per-cell parallelism
-    /// and bit-identical outputs (the campaign equivalence axis pins
-    /// sharded execution against straight runs; a unit test additionally
-    /// pins this entry point against [`Eq1Problem::evaluate`] bit-for-bit).
+    /// as one in-process shard: its cells still fan out across threads,
+    /// and each world is built once and shared across the policy axis.
+    /// Outputs are bit-identical to per-cell runs (the campaign
+    /// equivalence axis pins campaign execution against straight runs; a
+    /// unit test additionally pins this entry point against
+    /// [`Eq1Problem::evaluate`] bit-for-bit).
     /// Axis values must be distinct — duplicated grid values would
     /// collide on cell ids.
     pub fn grid_search(
@@ -172,8 +174,8 @@ impl Eq1Problem {
         let plan = manifest
             .expand()
             .unwrap_or_else(|e| panic!("Eq. 1 grid must expand cleanly: {e}"));
-        let report = run_campaign(&plan, &InProcessBackend::default(), plan.len())
-            .unwrap_or_else(|e| panic!("in-process shards must merge: {e}"));
+        let report = run_campaign(&plan, &InProcessBackend::default(), 1)
+            .unwrap_or_else(|e| panic!("in-process campaign must merge: {e}"));
         let cells: Vec<EvaluatedPoint> = report
             .cells
             .iter()

@@ -1,10 +1,12 @@
 //! Deterministic parallel parameter sweeps.
 //!
 //! Per the hpc-parallel guides, sweeps fan out over Rayon's global pool with
-//! `par_iter`, while preserving *input order* of results (so downstream
-//! tables are stable regardless of thread scheduling). Each cell receives a
-//! deterministic [`RngHub`] derived from the sweep's root seed and the cell
-//! index, so a sweep is reproducible at any thread count.
+//! `par_iter` — idle workers claim the next unclaimed cell, so uneven
+//! cells balance themselves — while preserving *input order* of results
+//! (so downstream tables are stable regardless of thread scheduling).
+//! Each cell receives a deterministic [`RngHub`] derived from the sweep's
+//! root seed and the cell index, so a sweep is reproducible at any thread
+//! count.
 //!
 //! # The two-level threading model
 //!
@@ -37,12 +39,16 @@
 //! `greener-core`'s `campaign` module sits on top of this module as the
 //! *experiment-batch* level: a declarative manifest (base scenario + named
 //! axes × values + seed ranges) expands through [`gridn_indices`] into an
-//! ordered plan of cells with stable ids, the plan is partitioned into
-//! contiguous shards, each shard runs independently (fanning out across
-//! threads via [`run`], each cell replaying through the aggregates-only
-//! observation fast path, with worlds reused across cells whose
-//! world-inputs fingerprints match), and the per-shard serialized
-//! aggregate artifacts are merged back in cell-id order. The merge rule is
+//! ordered plan of cells with stable ids, and the plan is partitioned into
+//! contiguous shards — the unit of serialized artifacts and resume. In
+//! process, the *cells* are the unit of parallelism: every cell of the
+//! plan fans out through one [`run`] (self-scheduling, so one slow cell
+//! never strands the other threads), each replaying through the
+//! aggregates-only observation fast path over a world shared by every
+//! cell whose world-inputs fingerprint matches, and the records are then
+//! sliced into the per-shard artifacts. A worker process runs its one
+//! shard sequentially instead. The per-shard serialized aggregate
+//! artifacts are merged back in cell-id order. The merge rule is
 //! a standing invariant: the merged report is **bit-identical for every
 //! shard count and every `RAYON_NUM_THREADS`**, because each cell's result
 //! is a pure function of its scenario, shards partition the plan, and the
