@@ -136,6 +136,35 @@ fn bench_world(c: &mut Criterion) {
         let s = greener_bench::scenarios::dispatch_heavy_90d(greener_bench::seeds::WORLD);
         b.iter(|| black_box(SimDriver::run(&s)))
     });
+    // The same saturated world under the two queue-deep §II levers, replayed
+    // over one pre-built world so the lane times dispatch, not world-gen:
+    // the carbon gate (hides a deadline range of the queue in dirty hours)
+    // and green queues (per-tier first fit).
+    for (lane, policy) in [
+        (
+            "dispatch_heavy_90d_carbon",
+            greener_sched::PolicyKind::CarbonAware {
+                green_threshold: 0.06,
+            },
+        ),
+        (
+            "dispatch_heavy_90d_green_queues",
+            greener_sched::PolicyKind::GreenQueues { green_cap_w: 160.0 },
+        ),
+    ] {
+        g.bench_function(lane, |b| {
+            let s = greener_bench::scenarios::dispatch_heavy_90d(greener_bench::seeds::WORLD)
+                .with_policy(policy);
+            let world = greener_core::driver::World::build(&s);
+            b.iter(|| {
+                black_box(SimDriver::run_observed(
+                    &s,
+                    &world,
+                    greener_core::probe::Observe::aggregates(),
+                ))
+            })
+        });
+    }
     // Bursty arrivals: deep queues that flood in spikes and drain against
     // completions — the worst case for backfill's candidate search.
     g.bench_function("dispatch_burst_7d", |b| {

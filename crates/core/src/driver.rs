@@ -342,8 +342,12 @@ impl<Q: EventScheduler<JobId>, O: RunProbes, P: ReplayProfiler> Engine<'_, Q, O,
         );
         self.decisions.clear();
         let m = self.prof.mark();
-        self.policy
-            .dispatch(&self.waiting, &self.cluster, &signals, &mut self.decisions);
+        self.policy.dispatch(
+            self.waiting.view(),
+            &self.cluster,
+            &signals,
+            &mut self.decisions,
+        );
         self.prof.record(ProfilePhase::PolicyDispatch, m);
         debug_assert!(
             greener_sched::policy::validate_decisions(

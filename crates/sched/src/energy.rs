@@ -9,7 +9,7 @@
 use greener_hpc::Cluster;
 
 use crate::policy::{Decision, LoneDispatch, QueuedJob, SchedPolicy, SchedSignals};
-use crate::waitq::WaitQueue;
+use crate::waitq::QueueView;
 
 /// Wrap a base policy and override every decision's cap with a fixed value.
 pub struct PowerCapPolicy {
@@ -37,7 +37,7 @@ impl SchedPolicy for PowerCapPolicy {
 
     fn dispatch(
         &mut self,
-        queue: &WaitQueue,
+        queue: QueueView<'_>,
         cluster: &Cluster,
         signals: &SchedSignals<'_>,
         out: &mut Vec<Decision>,
@@ -113,7 +113,7 @@ impl SchedPolicy for TempAwarePolicy {
 
     fn dispatch(
         &mut self,
-        queue: &WaitQueue,
+        queue: QueueView<'_>,
         cluster: &Cluster,
         signals: &SchedSignals<'_>,
         out: &mut Vec<Decision>,

@@ -10,8 +10,9 @@
 //! * [`policy`] — the [`SchedPolicy`] trait, dispatch signals, and the
 //!   baseline policies (including fit-indexed EASY backfill with the
 //!   [`policy::BackfillLimit`] knob).
-//! * [`waitq`] — the fit-indexed [`WaitQueue`] policies dispatch against,
-//!   plus the [`waitq::DepthStats`] queue-depth observation hook.
+//! * [`waitq`] — the fit-indexed [`WaitQueue`], the [`QueueView`] policies
+//!   dispatch against, and the [`waitq::DepthStats`] queue-depth
+//!   observation hook.
 //! * [`energy`] — static power capping and temperature-aware capping
 //!   (tighten caps when cooling is expensive).
 //! * [`carbon`] — carbon-aware temporal shifting (defer deferrable jobs to
@@ -31,4 +32,4 @@ pub use policy::{
     BackfillLimit, Decision, EasyBackfillPolicy, FcfsPolicy, LoneDispatch, QueuedJob, SchedPolicy,
     SchedSignals, SjfPolicy,
 };
-pub use waitq::{DepthStats, WaitQueue};
+pub use waitq::{DepthStats, QueueView, WaitQueue};

@@ -1,36 +1,39 @@
 //! The scheduling interface and baseline policies.
 //!
-//! A policy sees the waiting queue (a fit-indexed [`WaitQueue`]), the
-//! cluster state and an environment snapshot ([`SchedSignals`]) and appends
-//! the jobs to start *now* — each with a power cap — to a caller-owned
-//! decision buffer. The driver in `greener-core` validates and applies the
+//! A policy sees the waiting queue (a [`QueueView`] of the driver's
+//! fit-indexed [`WaitQueue`]), the cluster state and an environment
+//! snapshot ([`SchedSignals`]) and appends the jobs to start *now* — each
+//! with a power cap — to a caller-owned decision buffer. The driver in `greener-core` validates and applies the
 //! decisions; policies never mutate the cluster directly.
 //!
 //! The dispatch path is allocation-free in steady state by design:
 //! [`SchedSignals`] *borrows* its forecast and completion data from the
 //! driver (no per-call `Vec` clones), decisions go into a reused out
-//! buffer, and policies keep whatever scratch they need (SJF's
-//! duration-bucket buffer, the carbon gate's visible-queue buffer) as
-//! reusable members. Year-scale simulations dispatch hundreds of thousands
-//! of times, so per-call heap traffic dominates everything else.
+//! buffer, policies keep whatever scratch they need (SJF's duration-bucket
+//! buffer) as reusable members, and a wrapper that hides jobs from its base
+//! (the carbon gate) passes a masked [`QueueView`], a `Copy` value, rather
+//! than a filtered copy of the queue. Year-scale simulations dispatch
+//! hundreds of thousands of times, so per-call heap traffic dominates
+//! everything else.
 //!
-//! The queue-deep policies walk the queue's (gang size × duration) index
-//! instead of the whole queue, so a dispatch against a deep saturated
-//! queue costs about what it accepts. EASY backfill merges only the
-//! classes that fit the free GPUs ([`WaitQueue::backfill_candidates`]; see
-//! [`BackfillLimit`] for the opt-in depth-limited variant), and SJF walks
-//! the duration buckets shortest first ([`WaitQueue::shortest_first`]).
+//! The queue-deep policies walk the queue's indexes instead of the whole
+//! queue, so a dispatch against a deep saturated queue costs about what it
+//! accepts. EASY backfill merges only the (gang size × duration) classes
+//! that fit the free GPUs ([`QueueView::backfill_candidates`]; see
+//! [`BackfillLimit`] for the opt-in depth-limited variant), SJF walks the
+//! duration buckets shortest first ([`QueueView::shortest_first`]), and
+//! green queues merge each tier's per-gang-size lists
+//! ([`QueueView::first_fit`]).
 
 use greener_hpc::Cluster;
 use greener_simkit::time::SimTime;
 use greener_workload::{Job, JobId};
 use serde::{Deserialize, Serialize};
 
-use crate::waitq::WaitQueue;
+use crate::waitq::{QueueView, WaitQueue};
 
-/// A queue entry. Plain `Copy` data by design: the driver copies entries
-/// out of the [`WaitQueue`] when applying decisions, and policy scratch
-/// buffers (the carbon gate's filtered view) refill without touching the
+/// A queue entry. Plain `Copy` data by design: the driver copies an entry
+/// out of the [`WaitQueue`] when applying a decision, without touching the
 /// heap.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QueuedJob {
@@ -105,11 +108,15 @@ pub trait SchedPolicy: Send {
     fn name(&self) -> &'static str;
 
     /// Choose jobs to start now, appending to `out` (which the caller has
-    /// cleared). Decisions must reference queued jobs and must collectively
-    /// fit in `cluster.free_gpus()` (the driver asserts).
+    /// cleared). Decisions must reference jobs visible in `queue` and must
+    /// collectively fit in `cluster.free_gpus()` (the driver asserts).
+    ///
+    /// The carbon gate hides the jobs it defers by passing its base a
+    /// masked view; positions stay those of the driver's queue, and the
+    /// built-in policies read them only to order jobs.
     fn dispatch(
         &mut self,
-        queue: &WaitQueue,
+        queue: QueueView<'_>,
         cluster: &Cluster,
         signals: &SchedSignals<'_>,
         out: &mut Vec<Decision>,
@@ -165,7 +172,7 @@ pub trait SchedPolicy: Send {
         signals: &SchedSignals<'_>,
     ) -> Vec<Decision> {
         let mut out = Vec::new();
-        self.dispatch(queue, cluster, signals, &mut out);
+        self.dispatch(queue.view(), cluster, signals, &mut out);
         out
     }
 }
@@ -186,7 +193,7 @@ impl SchedPolicy for FcfsPolicy {
 
     fn dispatch(
         &mut self,
-        queue: &WaitQueue,
+        queue: QueueView<'_>,
         cluster: &Cluster,
         _signals: &SchedSignals<'_>,
         out: &mut Vec<Decision>,
@@ -224,7 +231,7 @@ impl SchedPolicy for FcfsPolicy {
 /// Jobs are offered shortest first, ties broken by enqueue time and then
 /// arrival order, and each one that fits the GPUs still free starts. The
 /// walk runs over the queue's duration index
-/// ([`WaitQueue::shortest_first`]), so a dispatch costs the jobs it can
+/// ([`QueueView::shortest_first`]), so a dispatch costs the jobs it can
 /// still start plus one duration bucket's sort, not a sort of the queue.
 #[derive(Debug, Default, Clone)]
 pub struct SjfPolicy {
@@ -239,7 +246,7 @@ impl SchedPolicy for SjfPolicy {
 
     fn dispatch(
         &mut self,
-        queue: &WaitQueue,
+        queue: QueueView<'_>,
         cluster: &Cluster,
         _signals: &SchedSignals<'_>,
         out: &mut Vec<Decision>,
@@ -278,7 +285,7 @@ impl SchedPolicy for SjfPolicy {
 ///   determinism test pins the decisions bit-for-bit.
 /// * [`BackfillLimit::Depth(k)`] — examine at most `k` *viable* candidates
 ///   per dispatch (jobs the fit index cannot prove rejected — see
-///   [`WaitQueue::backfill_candidates`]), the way production schedulers
+///   [`QueueView::backfill_candidates`]), the way production schedulers
 ///   bound backfill work. Because candidates are examined in the same
 ///   order with the same accounting, the depth-limited decision set is
 ///   always a **prefix** of the exhaustive one (a property test pins
@@ -300,7 +307,7 @@ pub enum BackfillLimit {
 /// reservation (so the head is never delayed).
 ///
 /// The candidate search runs over the queue's gang-size fit index
-/// ([`WaitQueue::backfill_candidates`]): instead of scanning thousands of queued jobs
+/// ([`QueueView::backfill_candidates`]): instead of scanning thousands of queued jobs
 /// that cannot fit the free GPUs, it merges only the size classes that do —
 /// visiting exactly the candidates the classic scan would have evaluated,
 /// in the same order, so exhaustive-mode decisions are unchanged.
@@ -351,7 +358,7 @@ impl SchedPolicy for EasyBackfillPolicy {
 
     fn dispatch(
         &mut self,
-        queue: &WaitQueue,
+        queue: QueueView<'_>,
         cluster: &Cluster,
         signals: &SchedSignals<'_>,
         out: &mut Vec<Decision>,
@@ -563,10 +570,16 @@ pub(crate) mod testutil {
     ///   3–4 deferrable green jobs with `t % 48` hours of slack;
     /// * kinds 5–6 remove a job picked by `t` (a no-op if it is gone);
     /// * any other kind leaves the queue as it is.
-    pub fn evolve(
+    pub fn evolve(queue: &mut WaitQueue, next_id: &mut u64, op: ((u8, u32), (usize, u64))) {
+        evolve_with(queue, next_id, op, |_| {});
+    }
+
+    /// [`evolve`], with `edit` applied to a job before it is pushed.
+    pub fn evolve_with(
         queue: &mut WaitQueue,
         next_id: &mut u64,
         ((kind, gpus), (hours, t)): ((u8, u32), (usize, u64)),
+        edit: impl FnOnce(&mut QueuedJob),
     ) {
         match kind {
             0..=4 => {
@@ -576,6 +589,7 @@ pub(crate) mod testutil {
                     3 | 4 => q = deferrable(q, t % 48),
                     _ => {}
                 }
+                edit(&mut q);
                 queue.push(q);
                 *next_id += 1;
             }
@@ -730,7 +744,7 @@ mod tests {
             power_cap_w: 1.0,
         };
         let mut out = vec![sentinel];
-        FcfsPolicy::default().dispatch(&queue, &cluster, &SchedSignals::default(), &mut out);
+        FcfsPolicy::default().dispatch(queue.view(), &cluster, &SchedSignals::default(), &mut out);
         assert_eq!(out[0], sentinel);
         assert_eq!(out.len(), 2);
     }

@@ -10,9 +10,10 @@
 //! GPUs at the shadow).
 //!
 //! [`WaitQueue`] stores the queue once in arrival order and additionally
-//! indexes live entries by **(gang size, ⌊log₂ duration⌋)** class. Backfill
+//! indexes live entries by **(gang size, ⌊log₂ duration⌋)** class. Policies
+//! read it through a [`QueueView`] (see *Masked views* below). Backfill
 //! iterates a position-ordered merge over only the classes that could still
-//! produce an accept ([`WaitQueue::backfill_candidates`]):
+//! produce an accept ([`QueueView::backfill_candidates`]):
 //!
 //! * classes whose gang exceeds the free GPUs are dropped (and re-dropped
 //!   as `free` shrinks mid-dispatch);
@@ -23,11 +24,11 @@
 //! * the single *boundary* class straddling the shadow window is examined
 //!   item-by-item (its members need the exact duration test): the class
 //!   lists store each entry's exact duration, so in the default **exact**
-//!   mode ([`WaitQueue::backfill_candidates`]) the iterator applies that
+//!   mode ([`QueueView::backfill_candidates`]) the iterator applies that
 //!   test itself and skips the provable rejects without yielding them —
 //!   every candidate yielded is an accept. Visit-budgeted scans
 //!   (`BackfillLimit::Depth`) use the **visiting** mode
-//!   ([`WaitQueue::backfill_candidates_visiting`]), which still yields
+//!   ([`QueueView::backfill_candidates_visiting`]), which still yields
 //!   boundary rejects because the depth budget is defined over *visited*
 //!   candidates; filtering them would change which candidates the budget
 //!   covers, i.e. the decisions.
@@ -43,7 +44,7 @@
 //! # Shortest-first walk
 //!
 //! SJF asks a different question of the same index: *which jobs, shortest
-//! first, fit the free GPUs?* [`WaitQueue::shortest_first`] answers it
+//! first, fit the free GPUs?* [`QueueView::shortest_first`] answers it
 //! without sorting the queue. The duration buckets cover disjoint,
 //! ascending ranges, so walking them in order is walking the queue in
 //! duration order; only one bucket's members are ever sorted, by the exact
@@ -60,6 +61,27 @@
 //! 0.008–0.009 s, and the campaign's untraced wall time from ~2.2 s to
 //! ~0.33 s, with an identical output digest.
 //!
+//! # Per-tier lists
+//!
+//! Green queues (§II-C) ask a third question: *which jobs of one queue
+//! class, in arrival order, fit the free GPUs?* [`QueueView::first_fit`]
+//! answers it from per-(queue class, gang size) position lists with the
+//! same kind of position-ordered merge, over the gang sizes that still fit,
+//! so a tier costs the jobs that fit rather than a scan of the whole queue.
+//! The tier lists are separate from the (size × duration) index on
+//! purpose: keying that index by queue class as well slowed EASY cells by
+//! 40–65 % in a prototype.
+//!
+//! # Masked views
+//!
+//! The carbon gate (`crate::carbon::CarbonAwarePolicy`) holds back
+//! deferrable jobs whose start deadline falls in one range, a
+//! `DeferralRange`. It hands its base policy a [`QueueView`] of the
+//! driver's queue with that range hidden instead of a filtered copy: every
+//! walk above skips hidden entries, and positions are unchanged. A view is
+//! plain `Copy` data, a queue reference plus an optional range, so
+//! building one costs nothing and the driver's queue is never mutated.
+//!
 //! # Structure
 //!
 //! * `slots` — arrival-ordered entries; a removed entry leaves a tombstone
@@ -69,12 +91,14 @@
 //! * `classes[size · NB + bucket]` — ascending positions of live entries in
 //!   that (gang size, duration bucket) class. Pushes append (positions
 //!   increase monotonically); removals binary-search.
+//! * `tiers[queue class][size]` — ascending positions of live entries of
+//!   that queue class and gang size, maintained the same way.
 //! * `pos_of` — job id → position, for O(1) removal when the driver applies
 //!   a dispatch decision.
 
 use greener_simkit::fastmap::FastMap;
 use greener_simkit::time::SimTime;
-use greener_workload::JobId;
+use greener_workload::{Job, JobId, QueueClass};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -117,11 +141,11 @@ fn bucket_upper(bucket: u32) -> u64 {
 }
 
 /// An arrival-ordered waiting queue with a (gang size × duration) fit
-/// index.
+/// index and per-(queue class, gang size) tier lists.
 ///
-/// See the module docs for the design. The driver owns one per run;
-/// wrapper policies that present a filtered view (the carbon-aware gate)
-/// keep a second one as reusable scratch.
+/// See the module docs for the design. The driver owns one per run and
+/// hands policies a [`QueueView`] of it; no policy keeps a queue of its
+/// own.
 #[derive(Debug, Default)]
 pub struct WaitQueue {
     /// Arrival-ordered entries; `None` marks a removed entry (tombstone).
@@ -135,14 +159,9 @@ pub struct WaitQueue {
     /// position. The exact duration rides along so the boundary duration
     /// class can be filtered member-wise without touching `slots`.
     classes: Vec<Vec<(u32, u64)>>,
-    /// Class indices holding entries since the last `clear` (so `clear`
-    /// touches only used classes, not the whole sparse table — the
-    /// carbon-gate scratch queue clears on every dispatch that defers).
-    touched: Vec<u32>,
-    /// Membership flags for `touched`, so repeated empty→non-empty
-    /// transitions of a class (remove-then-push churn on long-lived
-    /// queues) cannot grow `touched` beyond one entry per class.
-    touched_flag: Vec<bool>,
+    /// `tiers[queue class][size]` = positions of live entries of that queue
+    /// class and gang size, ascending.
+    tiers: [Vec<Vec<u32>>; 3],
     /// Job id → slot position of live entries.
     pos_of: FastMap<JobId, u32>,
 }
@@ -188,14 +207,15 @@ impl WaitQueue {
         let class = Self::class_of(&q) as usize;
         if class >= self.classes.len() {
             self.classes.resize_with(class + 1, Vec::new);
-            self.touched_flag.resize(class + 1, false);
         }
-        if !self.touched_flag[class] {
-            self.touched_flag[class] = true;
-            self.touched.push(class as u32);
+        let tier = &mut self.tiers[q.job.queue as usize];
+        let size = q.job.gpus as usize;
+        if size >= tier.len() {
+            tier.resize_with(size + 1, Vec::new);
         }
-        // Positions grow monotonically, so appending keeps the list sorted.
+        // Positions grow monotonically, so appending keeps the lists sorted.
         self.classes[class].push((pos, q.job.nominal_duration().0));
+        tier[size].push(pos);
         self.pos_of.insert(q.job.id, pos);
         self.slots.push(Some(q));
         self.live += 1;
@@ -219,24 +239,16 @@ impl WaitQueue {
             .binary_search_by_key(&pos, |&(p, _)| p)
             .expect("live entry is in its class list");
         list.remove(i);
+        let list = &mut self.tiers[q.job.queue as usize][q.job.gpus as usize];
+        let i = list
+            .binary_search(&pos)
+            .expect("live entry is in its tier list");
+        list.remove(i);
         self.live -= 1;
         while self.head < self.slots.len() && self.slots[self.head].is_none() {
             self.head += 1;
         }
         Some(q)
-    }
-
-    /// Drop everything (retaining allocated capacity for refills).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.head = 0;
-        self.live = 0;
-        self.pos_of.clear();
-        for &class in &self.touched {
-            self.classes[class as usize].clear();
-            self.touched_flag[class as usize] = false;
-        }
-        self.touched.clear();
     }
 
     /// Iterate live jobs in arrival order.
@@ -246,7 +258,7 @@ impl WaitQueue {
 
     /// Iterate `(position, job)` pairs of live jobs in arrival order.
     /// Positions are stable identifiers usable with
-    /// [`WaitQueue::backfill_candidates`].
+    /// [`QueueView::backfill_candidates`].
     pub fn live_positions(&self) -> impl Iterator<Item = (u32, &QueuedJob)> {
         self.slots[self.head..]
             .iter()
@@ -254,7 +266,109 @@ impl WaitQueue {
             .filter_map(move |(i, s)| s.as_ref().map(|q| ((self.head + i) as u32, q)))
     }
 
-    /// A fit-indexed iterator over live jobs at positions strictly after
+    /// The whole queue as a policy sees it: nothing hidden.
+    #[inline]
+    pub fn view(&self) -> QueueView<'_> {
+        QueueView {
+            queue: self,
+            hidden: None,
+        }
+    }
+
+    /// The live entry at a position taken from an index list.
+    #[inline]
+    fn live(&self, pos: u32) -> &QueuedJob {
+        self.slots[pos as usize]
+            .as_ref()
+            .expect("fit index holds live positions")
+    }
+
+    /// Largest gang size with a class-table row.
+    #[inline]
+    fn max_size(&self) -> u32 {
+        (self.classes.len() as u32).div_ceil(NB).saturating_sub(1)
+    }
+}
+
+/// Deferrable jobs whose start deadline falls in `[from, until)`; with
+/// `until = None` the range is unbounded above and also covers deferrable
+/// jobs without a deadline. This is the set the carbon gate holds back in
+/// one dispatch (`crate::carbon::CarbonAwarePolicy::deferral_range`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DeferralRange {
+    /// Earliest start deadline in the range.
+    pub(crate) from: SimTime,
+    /// First start deadline past the range, if it is bounded.
+    pub(crate) until: Option<SimTime>,
+}
+
+impl DeferralRange {
+    /// Whether `job` falls in the range.
+    #[inline]
+    pub(crate) fn contains(&self, job: &Job) -> bool {
+        job.deferrable
+            && match job.start_deadline {
+                Some(by) => by >= self.from && self.until.is_none_or(|u| by < u),
+                None => self.until.is_none(),
+            }
+    }
+
+    /// The smallest range covering both. Exact when the two overlap or
+    /// touch, which two gates evaluated at the same dispatch always do:
+    /// both ranges end at the forecast's first infinite hour or are
+    /// unbounded, and each starts before it.
+    fn union(self, other: DeferralRange) -> DeferralRange {
+        DeferralRange {
+            from: self.from.min(other.from),
+            until: self.until.zip(other.until).map(|(a, b)| a.max(b)),
+        }
+    }
+}
+
+/// A [`WaitQueue`] as a policy sees it: the driver's queue, optionally with
+/// one `DeferralRange` of jobs hidden. Plain `Copy` data; every walk skips
+/// hidden entries and keeps positions as they are in the queue. See the
+/// module docs' masked views.
+#[derive(Debug, Clone, Copy)]
+pub struct QueueView<'a> {
+    queue: &'a WaitQueue,
+    hidden: Option<DeferralRange>,
+}
+
+impl<'a> QueueView<'a> {
+    /// The underlying queue, hidden entries included.
+    #[inline]
+    pub(crate) fn queue(&self) -> &'a WaitQueue {
+        self.queue
+    }
+
+    /// This view with `range` hidden as well.
+    pub(crate) fn without(self, range: DeferralRange) -> QueueView<'a> {
+        QueueView {
+            queue: self.queue,
+            hidden: Some(self.hidden.map_or(range, |h| h.union(range))),
+        }
+    }
+
+    /// Whether this view hides `q`.
+    #[inline]
+    pub(crate) fn hides(&self, q: &QueuedJob) -> bool {
+        self.hidden.is_some_and(|r| r.contains(&q.job))
+    }
+
+    /// Iterate visible jobs in arrival order.
+    pub fn iter(self) -> impl Iterator<Item = &'a QueuedJob> {
+        self.live_positions().map(|(_, q)| q)
+    }
+
+    /// Iterate `(position, job)` pairs of visible jobs in arrival order.
+    pub fn live_positions(self) -> impl Iterator<Item = (u32, &'a QueuedJob)> {
+        self.queue
+            .live_positions()
+            .filter(move |(_, q)| !self.hides(q))
+    }
+
+    /// A fit-indexed iterator over visible jobs at positions strictly after
     /// `after`, in arrival order, pruned to candidates that could still be
     /// accepted by EASY backfill given:
     ///
@@ -274,45 +388,39 @@ impl WaitQueue {
     /// conditions under the budgets passed to that `next` call (the caller
     /// keeps the authoritative test; it just stops seeing the provable
     /// rejects). Visit-budgeted callers must use
-    /// [`WaitQueue::backfill_candidates_visiting`] instead.
+    /// [`QueueView::backfill_candidates_visiting`] instead.
     ///
     /// Pass `d_max = u64::MAX` for a pure size-fit iteration (every
     /// duration class qualifies unconditionally).
-    pub fn backfill_candidates(
-        &self,
-        after: u32,
-        free: u32,
-        d_max: u64,
-        spare: u32,
-    ) -> FitIter<'_> {
+    pub fn backfill_candidates(self, after: u32, free: u32, d_max: u64, spare: u32) -> FitIter<'a> {
         self.fit_iter(after, free, d_max, spare, true)
     }
 
-    /// Like [`WaitQueue::backfill_candidates`], but the boundary duration
+    /// Like [`QueueView::backfill_candidates`], but the boundary duration
     /// class is yielded member-by-member *including* its provable rejects,
     /// exactly like the classic arrival-order scan visits them. Depth-
     /// budgeted backfill (`BackfillLimit::Depth`) needs this mode: its
     /// budget counts visited candidates, so filtering rejects out would
     /// change which candidates the budget covers — i.e. the decisions.
     pub fn backfill_candidates_visiting(
-        &self,
+        self,
         after: u32,
         free: u32,
         d_max: u64,
         spare: u32,
-    ) -> FitIter<'_> {
+    ) -> FitIter<'a> {
         self.fit_iter(after, free, d_max, spare, false)
     }
 
     /// Greedy shortest-job-first packing over the fit index: hand `accept`
-    /// every live job that fits the GPUs still free, taking jobs in
+    /// every visible job that fits the GPUs still free, taking jobs in
     /// ascending `(nominal duration, enqueued, position)` order; `free`
     /// shrinks by each accepted gang. The result equals sorting the whole
     /// queue, at the cost of one duration bucket's sort — see the module
     /// docs' shortest-first walk. `scratch` is a reusable buffer; its
     /// contents on entry are ignored.
     pub fn shortest_first(
-        &self,
+        self,
         mut free: u32,
         scratch: &mut Vec<(u64, SimTime, u32)>,
         mut accept: impl FnMut(&QueuedJob),
@@ -320,21 +428,22 @@ impl WaitQueue {
         if free == 0 {
             return;
         }
-        let max_size = self.max_size();
+        let queue = self.queue;
+        let max_size = queue.max_size();
         for bucket in 0..NB {
             scratch.clear();
             for size in 1..=max_size.min(free) {
-                if let Some(list) = self.classes.get((size * NB + bucket) as usize) {
-                    scratch.extend(
-                        list.iter()
-                            .map(|&(pos, d)| (d, self.live(pos).enqueued, pos)),
-                    );
+                if let Some(list) = queue.classes.get((size * NB + bucket) as usize) {
+                    scratch.extend(list.iter().filter_map(|&(pos, d)| {
+                        let q = queue.live(pos);
+                        (!self.hides(q)).then_some((d, q.enqueued, pos))
+                    }));
                 }
             }
             // Positions are unique, so the unstable sort is deterministic.
             scratch.sort_unstable();
             for &(_, _, pos) in scratch.iter() {
-                let q = self.live(pos);
+                let q = queue.live(pos);
                 if q.job.gpus <= free {
                     free -= q.job.gpus;
                     accept(q);
@@ -346,27 +455,57 @@ impl WaitQueue {
         }
     }
 
-    /// The live entry at a position taken from a class list.
-    #[inline]
-    fn live(&self, pos: u32) -> &QueuedJob {
-        self.slots[pos as usize]
-            .as_ref()
-            .expect("fit index holds live positions")
+    /// Arrival-order first fit over one queue class: hand `accept` every
+    /// visible job of `class` that `eligible` admits and that fits the GPUs
+    /// still free, shrinking `free` by each accepted gang; returns the GPUs
+    /// left. The walk merges the class's per-gang-size tier lists by
+    /// position and drops a size once `free` falls below it, so it visits
+    /// only jobs whose gang fits, and accepts the same jobs, in the same
+    /// order, as a scan of the whole queue filtered to `class` would.
+    pub fn first_fit(
+        self,
+        class: QueueClass,
+        mut free: u32,
+        mut eligible: impl FnMut(&QueuedJob) -> bool,
+        mut accept: impl FnMut(&QueuedJob),
+    ) -> u32 {
+        let lists = &self.queue.tiers[class as usize];
+        let top = (lists.len() as u32).saturating_sub(1).min(free);
+        // Min-heap of (next position, gang size, cursor index), one entry
+        // per gang size that still fits.
+        let mut heap = BinaryHeap::new();
+        for size in 1..=top {
+            if let Some(&pos) = lists[size as usize].first() {
+                heap.push(Reverse((pos, size, 0u32)));
+            }
+        }
+        while free > 0 {
+            let Some(Reverse((pos, size, cur))) = heap.pop() else {
+                break;
+            };
+            // `free` only shrinks: a size that no longer fits never will.
+            if size > free {
+                continue;
+            }
+            if let Some(&next) = lists[size as usize].get(cur as usize + 1) {
+                heap.push(Reverse((next, size, cur + 1)));
+            }
+            let q = self.queue.live(pos);
+            if !self.hides(q) && eligible(q) {
+                free -= size;
+                accept(q);
+            }
+        }
+        free
     }
 
-    /// Largest gang size with a class-table row.
-    #[inline]
-    fn max_size(&self) -> u32 {
-        (self.classes.len() as u32).div_ceil(NB).saturating_sub(1)
-    }
-
-    fn fit_iter(&self, after: u32, free: u32, d_max: u64, spare: u32, exact: bool) -> FitIter<'_> {
-        let max_size = self.max_size();
+    fn fit_iter(self, after: u32, free: u32, d_max: u64, spare: u32, exact: bool) -> FitIter<'a> {
+        let max_size = self.queue.max_size();
         let mut heap = BinaryHeap::with_capacity(32);
         for size in 1..=max_size.min(free) {
             for bucket in 0..NB {
                 let class = size * NB + bucket;
-                let Some(list) = self.classes.get(class as usize) else {
+                let Some(list) = self.queue.classes.get(class as usize) else {
                     continue;
                 };
                 if list.is_empty() {
@@ -385,7 +524,7 @@ impl WaitQueue {
             }
         }
         FitIter {
-            q: self,
+            view: self,
             d_max,
             heap,
             exact,
@@ -404,10 +543,10 @@ impl FromIterator<QueuedJob> for WaitQueue {
 }
 
 /// Position-ordered merge over the qualifying (size, duration) classes of
-/// a [`WaitQueue`]. Produced by [`WaitQueue::backfill_candidates`].
+/// a [`QueueView`]. Produced by [`QueueView::backfill_candidates`].
 #[derive(Debug)]
 pub struct FitIter<'a> {
-    q: &'a WaitQueue,
+    view: QueueView<'a>,
     /// Shadow window (seconds) fixed at creation.
     d_max: u64,
     /// Min-heap of `(next position, class, cursor index)` — one entry per
@@ -419,8 +558,8 @@ pub struct FitIter<'a> {
 }
 
 impl<'a> FitIter<'a> {
-    /// The next candidate in arrival order that could still be accepted
-    /// under the current budgets.
+    /// The next visible candidate in arrival order that could still be
+    /// accepted under the current budgets.
     ///
     /// `free` and `spare` must be ≤ every value passed previously (backfill
     /// only consumes GPUs); classes they disqualify are discarded
@@ -441,7 +580,7 @@ impl<'a> FitIter<'a> {
             if bucket_lower(bucket) > self.d_max && size > spare {
                 continue;
             }
-            let list = &self.q.classes[class as usize];
+            let list = &self.view.queue.classes[class as usize];
             let mut cur = cur as usize;
             debug_assert_eq!(list[cur].0, pos);
             if self.exact && size > spare && list[cur].1 > self.d_max {
@@ -466,7 +605,11 @@ impl<'a> FitIter<'a> {
                 self.heap
                     .push(Reverse((list[cur + 1].0, class, cur as u32 + 1)));
             }
-            return Some(self.q.live(pos));
+            let q = self.view.queue.live(pos);
+            if self.view.hides(q) {
+                continue;
+            }
+            return Some(q);
         }
         None
     }
@@ -526,7 +669,7 @@ mod tests {
 
     /// Drain a size-only fit iteration (`d_max = MAX`).
     fn drain_fit(q: &WaitQueue, after: u32, budget: u32) -> Vec<u64> {
-        let mut it = q.backfill_candidates(after, budget, u64::MAX, 0);
+        let mut it = q.view().backfill_candidates(after, budget, u64::MAX, 0);
         let mut seen = Vec::new();
         while let Some(j) = it.next(budget, 0) {
             seen.push(j.job.id.0);
@@ -597,7 +740,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let mut it = q.backfill_candidates(0, 4, u64::MAX, 0);
+        let mut it = q.view().backfill_candidates(0, 4, u64::MAX, 0);
         // Budget 4 admits job 2 (pos 1) first…
         assert_eq!(it.next(4, 0).unwrap().job.id.0, 2);
         // …then the budget shrinks to 1: the size-4 class (job 3) is
@@ -630,12 +773,12 @@ mod tests {
         .into_iter()
         .collect();
         let d_max = 3_600; // 1 h shadow window
-        let mut it = q.backfill_candidates(0, 8, d_max, 0);
+        let mut it = q.view().backfill_candidates(0, 8, d_max, 0);
         assert_eq!(it.next(8, 0).unwrap().job.id.0, 2);
         assert!(it.next(8, 0).is_none(), "long jobs are provable rejects");
         // With spare budget 2, the size-2 long jobs qualify again (in
         // arrival order), the size-4 one stays pruned.
-        let mut it = q.backfill_candidates(0, 8, d_max, 2);
+        let mut it = q.view().backfill_candidates(0, 8, d_max, 2);
         let mut seen = Vec::new();
         while let Some(j) = it.next(8, 2) {
             seen.push(j.job.id.0);
@@ -654,13 +797,13 @@ mod tests {
             .into_iter()
             .collect();
         let d_max = (1.5 * 3_600.0) as u64;
-        let mut it = q.backfill_candidates(0, 8, d_max, 0);
+        let mut it = q.view().backfill_candidates(0, 8, d_max, 0);
         let mut seen = Vec::new();
         while let Some(j) = it.next(8, 0) {
             seen.push(j.job.id.0);
         }
         assert_eq!(seen, vec![1], "exact mode filters the boundary reject");
-        let mut it = q.backfill_candidates_visiting(0, 8, d_max, 0);
+        let mut it = q.view().backfill_candidates_visiting(0, 8, d_max, 0);
         let mut seen = Vec::new();
         while let Some(j) = it.next(8, 0) {
             seen.push(j.job.id.0);
@@ -668,23 +811,12 @@ mod tests {
         assert_eq!(seen, vec![1, 2], "visiting mode yields the whole bucket");
         // With spare budget for the gang, exact mode yields job 2 too (the
         // spare-GPU accept condition holds).
-        let mut it = q.backfill_candidates(0, 8, d_max, 2);
+        let mut it = q.view().backfill_candidates(0, 8, d_max, 2);
         let mut seen = Vec::new();
         while let Some(j) = it.next(8, 2) {
             seen.push(j.job.id.0);
         }
         assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
-    fn clear_retains_reusability() {
-        let mut q: WaitQueue = (0..4).map(|i| qjob(i, 2, 1.0)).collect();
-        q.clear();
-        assert!(q.is_empty());
-        q.push(qjob(9, 2, 1.0));
-        assert_eq!(ids(&q), vec![9]);
-        // Position 0 is the only entry; `after = 0` excludes it.
-        assert!(drain_fit(&q, 0, 8).is_empty());
     }
 
     #[test]
@@ -712,11 +844,52 @@ mod tests {
 
     mod props {
         use super::*;
-        use crate::policy::testutil::qjob_at;
+        use crate::policy::testutil::{evolve, qjob_at};
         use greener_simkit::time::SimTime;
         use proptest::prelude::*;
 
         proptest! {
+            /// Per-tier first fit yields exactly what a scan of the whole
+            /// queue in arrival order, filtered to the tier, to visible jobs
+            /// and to `eligible`, accepts with the same shrinking budget —
+            /// across evolving pushes and removes, for every queue class,
+            /// with and without a hidden deadline range.
+            #[test]
+            fn first_fit_matches_filtered_scan(
+                ops in prop::collection::vec(((0u8..8, 1u32..17), (0usize..8, 0u64..200_000)), 1..80),
+                steps in prop::collection::vec((0u32..17, 0usize..3, 0u64..4, 0u64..60), 80),
+            ) {
+                let mut queue = WaitQueue::new();
+                let mut next_id = 0u64;
+                for (&op, &(free, class, skip, from_h)) in ops.iter().zip(&steps) {
+                    evolve(&mut queue, &mut next_id, op);
+                    let class = QueueClass::ALL[class];
+                    let mut view = queue.view();
+                    if from_h < 48 {
+                        view = view.without(DeferralRange {
+                            from: SimTime::from_hours(from_h),
+                            until: from_h.is_multiple_of(2).then(|| SimTime::from_hours(from_h + 30)),
+                        });
+                    }
+                    // Skip every job whose id is a multiple of `skip + 2`.
+                    let eligible = |q: &QueuedJob| !q.job.id.0.is_multiple_of(skip + 2);
+                    let mut want = Vec::new();
+                    let mut budget = free;
+                    for q in queue.iter() {
+                        if q.job.queue == class && !view.hides(q) && eligible(q)
+                            && q.job.gpus <= budget
+                        {
+                            budget -= q.job.gpus;
+                            want.push(q.job.id.0);
+                        }
+                    }
+                    let mut got = Vec::new();
+                    let left = view.first_fit(class, free, eligible, |q| got.push(q.job.id.0));
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(left, budget);
+                }
+            }
+
             /// The fit iterator yields exactly what a full arrival-order
             /// scan with the same (non-increasing) size budget yields when
             /// no duration pruning applies.
@@ -748,7 +921,7 @@ mod tests {
                 }
                 let mut budget = budget0;
                 let mut got = Vec::new();
-                let mut it = q.backfill_candidates(0, budget, u64::MAX, 0);
+                let mut it = q.view().backfill_candidates(0, budget, u64::MAX, 0);
                 while let Some(j) = it.next(budget, 0) {
                     got.push(j.job.id.0);
                     budget -= j.job.gpus;
@@ -784,14 +957,14 @@ mod tests {
                     }
                 }
                 // after=0 semantics: skip position 0 like the scan above.
-                let mut it = q.backfill_candidates(0, free, d_max, spare);
+                let mut it = q.view().backfill_candidates(0, free, d_max, spare);
                 let mut yielded = Vec::new();
                 while let Some(j) = it.next(free, spare) {
                     yielded.push(j.job.id.0);
                 }
                 // Exact mode == reference accepts, in order.
                 prop_assert_eq!(&yielded, &accepts);
-                let mut it = q.backfill_candidates_visiting(0, free, d_max, spare);
+                let mut it = q.view().backfill_candidates_visiting(0, free, d_max, spare);
                 let mut visited = Vec::new();
                 while let Some(j) = it.next(free, spare) {
                     visited.push(j.job.id.0);
